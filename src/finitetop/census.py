@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, TextIO
 
-from .spaces import Preorder, Topology, from_preorder, full_set, space_to_json
+from .spaces import Preorder, Topology, from_preorder, full_set, space_from_obj, space_to_json
 from .operators import alpha_topology, set_class
 from .covers import PROPERTY_TAGS, check_property
 
@@ -50,6 +50,8 @@ class PropertyProfile:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PropertyProfile":
+        if not isinstance(obj, dict):
+            raise ValueError("profile must be a JSON object")
         props = obj.get("properties")
         sizes = obj.get("sizes")
         if (
@@ -64,11 +66,13 @@ class PropertyProfile:
             or not all(isinstance(v, int) for v in sizes.values())
         ):
             raise ValueError("profile sizes must cover every size key")
+        if not all(isinstance(obj.get(flag), bool) for flag in ("gc_mismatch", "so_eq_alpha")):
+            raise ValueError("profile flags gc_mismatch and so_eq_alpha must be booleans")
         return cls(
             properties={tag: props[tag] for tag in PROPERTY_TAGS},
             sizes={key: sizes[key] for key in SIZE_KEYS},
-            gc_mismatch=bool(obj["gc_mismatch"]),
-            so_eq_alpha=bool(obj["so_eq_alpha"]),
+            gc_mismatch=obj["gc_mismatch"],
+            so_eq_alpha=obj["so_eq_alpha"],
         )
 
 
@@ -252,6 +256,8 @@ def read_census(source: TextIO) -> list[CensusRecord]:
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: malformed record: {exc}") from exc
         if n is None:
+            if not isinstance(obj, dict):
+                raise ValueError(f"line {lineno}: header must be a JSON object")
             if obj.get("format") != CENSUS_FORMAT:
                 raise ValueError(
                     f"line {lineno}: unknown census format {obj.get('format')!r}"
@@ -268,20 +274,15 @@ def read_census(source: TextIO) -> list[CensusRecord]:
 
 
 def _parse_record(obj: dict, n: int) -> CensusRecord:
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
     for key in ("id", "n", "opens", "profile"):
         if key not in obj:
             raise ValueError(f"record is missing the {key!r} field")
     if obj["n"] != n:
         raise ValueError(f"record n={obj['n']} does not match header n={n}")
-    masks = []
-    for entry in obj["opens"]:
-        if not all(isinstance(p, int) and 0 <= p < n for p in entry):
-            raise ValueError(f"open set {entry} has points outside 0..{n - 1}")
-        m = 0
-        for p in entry:
-            m |= 1 << p
-        masks.append(m)
-    space = Topology(n, masks)  # rejects families not closed under union/intersection
+    # rejects malformed opens and families not closed under union/intersection
+    space = space_from_obj(obj)
     rec = CensusRecord(obj["id"], space, PropertyProfile.from_obj(obj["profile"]))
     if rec.id != space_id(space):
         raise ValueError(f"record id {rec.id!r} does not match the canonical opens")

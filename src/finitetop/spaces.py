@@ -2,9 +2,10 @@
 
 Points of a space are the integers 0..n-1 and a subset of the space is a
 plain ``int`` whose bit ``i`` records membership of point ``i``.  With n
-capped at 16 every subset fits in one machine word, every class extraction
-scans at most 65536 masks, and all operators reduce to a few bit operations
-against the memoized minimal-neighborhood table.
+capped at 16 every subset fits in one machine word and all operators reduce
+to a few bit operations against the memoized minimal-neighborhood table.
+The open sets are enumerated from that table in time proportional to their
+number; a class with no closed form scans at most 65536 masks.
 """
 
 from __future__ import annotations
@@ -152,18 +153,25 @@ def _min_table(n: int, family: Iterable[int]) -> tuple[int, ...]:
 
 
 def _upward_closed_sets(n: int, nbhd: tuple[int, ...]) -> tuple[int, ...]:
+    # nbhd must be transitive.  Decide the lowest undecided point x: either
+    # x is out, and with it every point whose neighborhood holds x, or x is
+    # in, and with it nbhd[x].  The points left undecided are unconstrained
+    # by the decided ones, so every leaf is one open set.
+    below = [0] * n
+    for y in range(n):
+        for x in iter_points(nbhd[y]):
+            below[x] |= 1 << y
     out = []
-    for a in range(1 << n):
-        b = a
-        ok = True
-        while b:
-            low = b & -b
-            if nbhd[low.bit_length() - 1] & ~a:
-                ok = False
-                break
-            b ^= low
-        if ok:
-            out.append(a)
+    stack = [(full_set(n), 0)]
+    while stack:
+        undecided, chosen = stack.pop()
+        if not undecided:
+            out.append(chosen)
+            continue
+        x = (undecided & -undecided).bit_length() - 1
+        stack.append((undecided & ~below[x], chosen))
+        stack.append((undecided & ~nbhd[x], chosen | nbhd[x]))
+    out.sort()
     return tuple(out)
 
 
@@ -371,21 +379,31 @@ def space_to_json(t: Topology) -> str:
 
 
 def space_from_obj(obj: dict, complete: bool = False) -> Topology:
+    """Parse a space object, rejecting every shape but {"n": int, "opens": [[int]]}."""
     if not isinstance(obj, dict) or "n" not in obj or "opens" not in obj:
         raise ValueError("space object needs 'n' and 'opens' fields")
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError("'n' must be an integer")
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
+    if not isinstance(obj["opens"], list):
+        raise ValueError("'opens' must be a list of point lists")
     masks = []
     for entry in obj["opens"]:
-        if not all(isinstance(p, int) and 0 <= p < n for p in entry):
+        if not isinstance(entry, list):
+            raise ValueError(f"open set {entry!r} must be a list of points")
+        if not all(_is_int(p) and 0 <= p < n for p in entry):
             raise ValueError(f"open set {entry} has points outside 0..{n - 1}")
         masks.append(mask_of(entry))
     if complete:
         return build_topology(n, masks)
     return Topology(n, masks)
+
+
+def _is_int(value: object) -> bool:
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def space_from_json(text: str, complete: bool = False) -> Topology:

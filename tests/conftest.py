@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from finitetop import build_topology
+from finitetop import build_topology, discrete, product
 
 
 @pytest.fixture
@@ -28,3 +28,19 @@ def topologies(draw, max_n=4):
 def topology_and_subset(draw, max_n=4):
     t = draw(topologies(max_n=max_n))
     return t, draw(st.integers(0, (1 << t.n) - 1))
+
+
+# 4-point factors of the 16-point products below; _SQUARE_FAILS_4 is
+# alpha-subparacompact but its square is not
+_SQUARE_FAILS_4 = build_topology(4, [0b0001, 0b0010, 0b0100, 0b1001])
+_ONE_OPEN_POINT_4 = build_topology(4, [0b0001])
+_CHAIN_4 = build_topology(4, [0b0001, 0b0011, 0b0111])
+
+# the largest product, a product of two alpha-subparacompact factors that is
+# not alpha-subparacompact, and a product with 15 opens but 32,769
+# alpha-opens; built on demand so collection stays cheap
+SIXTEEN_POINT_PRODUCTS = {
+    "discrete": lambda: discrete(16),
+    "question1-witness": lambda: product(_SQUARE_FAILS_4, _SQUARE_FAILS_4),
+    "sparse-alpha": lambda: product(_ONE_OPEN_POINT_4, _CHAIN_4),
+}

@@ -152,6 +152,26 @@ def test_read_rejects_malformed_line():
         read_census(io.StringIO("".join(lines)))
 
 
+@pytest.mark.parametrize(
+    "shape", ["header-not-object", "record-not-object", "profile-not-object", "flag-missing"]
+)
+def test_read_rejects_malformed_shapes(shape):
+    buf = io.StringIO()
+    write_census(census_records(2), buf)
+    header, first = buf.getvalue().splitlines()[:2]
+    obj = json.loads(first)
+    if shape == "header-not-object":
+        header = "[]"
+    elif shape == "record-not-object":
+        obj = 5
+    elif shape == "profile-not-object":
+        obj["profile"] = 5
+    else:
+        del obj["profile"]["gc_mismatch"]
+    with pytest.raises(ValueError, match="line"):
+        read_census(io.StringIO(header + "\n" + json.dumps(obj) + "\n"))
+
+
 def test_read_rejects_non_closed_opens():
     rec = next(iter(census_records(3)))
     obj = record_to_obj(rec)

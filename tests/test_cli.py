@@ -1,20 +1,55 @@
 """Command-line behavior: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from finitetop import indiscrete
+from finitetop.census import CENSUS_FORMAT, CensusRecord, profile, record_to_obj, space_id
 from finitetop.cli import main
 
 SPACE_TEXT = '{"n": 3, "opens": [[], [0], [0, 1, 2]]}'
+
+# JSON that parses but is not a space; each must exit 2 without a traceback
+MALFORMED_SPACES = {
+    "opens-not-a-list": {"n": 3, "opens": 5},
+    "bool-point-count": {"n": True, "opens": [[], [0]]},
+    "bool-point": {"n": 2, "opens": [[], [0, True], [0, 1]]},
+    "entry-not-a-list": {"n": 2, "opens": [[], 1, [0, 1]]},
+}
+
+# SHA-256 of stdout as the definitional 2^n scans printed it (commit 5111cc0);
+# census files, space ids and report text stay byte-identical
+PINNED_STDOUT_SHA256 = {
+    "census --n 4": "e32541eee516ae3900ede709dd60c8f8ade0f2b2617885bde3650328ca3d8fcd",
+    "verify --n 4 --suite all": "bfbdef6fb05078d46e34276745a236dc98b8fcd52471b3d576f32f75f2e15594",
+    "search --predicate question1-witness --max-n 3": (
+        "58d58d1922fed8df6f54e5067b389ba2efcaa14b1a1815d3fe9085f039cba61a"
+    ),
+}
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(cwd, *argv):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "finitetop", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+    )
 
 
 def test_census_one_point(capsys):
@@ -188,15 +223,40 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert v1 == v2
 
 
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT_SHA256))
+def test_stdout_matches_pinned_digest(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPACES))
+def test_inspect_malformed_space_exits_2(tmp_path, name):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(MALFORMED_SPACES[name]))
+    result = run_module(tmp_path, "inspect", "--space", str(space), "--facets", "alpha")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "finitetop: error" in result.stderr
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPACES))
+def test_verify_census_malformed_record_exits_2(tmp_path, name):
+    # a valid record of the space a bool-as-int reading would produce, with
+    # its n and opens fields replaced
+    fields = MALFORMED_SPACES[name]
+    t = indiscrete(int(fields["n"]))
+    header = {"format": CENSUS_FORMAT, "n": t.n}
+    record = {**record_to_obj(CensusRecord(space_id(t), t, profile(t))), **fields}
+    path = tmp_path / "census.txt"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    result = run_module(tmp_path, "verify", "--census", str(path), "--suite", "prop-p1")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "line 2:" in result.stderr
+
+
 def test_module_invocation_smoke(tmp_path):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    result = subprocess.run(
-        [sys.executable, "-m", "finitetop", "census", "--n", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-    )
+    result = run_module(tmp_path, "census", "--n", "1")
     assert result.returncode == 0
     assert result.stdout.count("\n") == 2

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given
 
-from conftest import topologies, topology_and_subset
+from conftest import SIXTEEN_POINT_PRODUCTS, topologies, topology_and_subset
 from finitetop import (
     alpha_topology,
+    check_property,
     closed_sets,
     discrete,
     hull,
@@ -26,6 +27,18 @@ def closure_oracle(t, a):
         if a & ~c == 0:
             out &= c
     return out
+
+
+def class_scan(t, kind):
+    """Every mask that satisfies the class formula."""
+    return tuple(a for a in range(1 << t.n) if is_in_class(t, a, kind))
+
+
+def alpha_open_scan(t):
+    """The alpha-open sets by their defining formula a ⊆ int(cl(int a))."""
+    return tuple(
+        a for a in range(1 << t.n) if a & ~t.interior(t.closure(t.interior(a))) == 0
+    )
 
 
 def interior_oracle(t, a):
@@ -97,7 +110,7 @@ def test_closure_interior_fixed_points(ta):
     assert t.is_open(hull(t, a, "interior"))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hulls_match_oracles_exhaustively(n):
     for t in labeled_census(n):
         for a in range(1 << n):
@@ -137,6 +150,29 @@ def test_alpha_topology_two_point_sierpinski_fixed(sier):
         if a & ~sier.interior(sier.closure(sier.interior(a))) == 0
     )
     assert alpha_topology(sier).opens == expected == sier.opens
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_alpha_topology_matches_formula_scan(n):
+    # Njåstad's neighborhood table against the defining formula, every space
+    for t in labeled_census(n):
+        assert alpha_topology(t).opens == alpha_open_scan(t)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(SIXTEEN_POINT_PRODUCTS))
+def test_alpha_topology_matches_formula_scan_at_16_points(name):
+    t = SIXTEEN_POINT_PRODUCTS[name]()
+    assert alpha_topology(t).opens == alpha_open_scan(t)
+
+
+def test_sixteen_point_products_cover_both_verdicts():
+    verdicts = {
+        name: check_property(build(), "alpha-subparacompact")
+        for name, build in SIXTEEN_POINT_PRODUCTS.items()
+    }
+    assert verdicts["discrete"] is True
+    assert verdicts["question1-witness"] is False
 
 
 @given(topologies())
@@ -185,6 +221,13 @@ def test_discrete_classes_are_powerset():
     d = discrete(3)
     for kind in ("open", "closed", "semi-open", "g-closed", "sg-closed", "clopen"):
         assert set_class(d, kind).members == tuple(range(8))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_open_and_closed_classes_match_formula_scan(n):
+    for t in labeled_census(n):
+        for kind in ("open", "closed"):
+            assert set_class(t, kind).members == class_scan(t, kind)
 
 
 def test_indiscrete_closed_sets():

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import topologies, topology_and_subset
+from conftest import SIXTEEN_POINT_PRODUCTS, topologies, topology_and_subset
 from finitetop import (
     Preorder,
     Topology,
@@ -40,6 +40,13 @@ def close_family(masks, n):
                         fam.add(c)
                         changed = True
     return tuple(sorted(fam))
+
+
+def upsets_scan(n, nbhd):
+    """Independent oracle: every mask holding the neighborhood of each of its points."""
+    return tuple(
+        a for a in range(1 << n) if all(nbhd[x] & ~a == 0 for x in iter_points(a))
+    )
 
 
 # --- construction -------------------------------------------------------------
@@ -217,6 +224,19 @@ def test_round_trip_identity_both_directions(n):
         assert to_preorder(from_preorder(r)) == r
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_upset_enumeration_matches_scan(n):
+    for r in enumerate_preorders(n):
+        assert from_preorder(r).opens == upsets_scan(n, r.up)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(SIXTEEN_POINT_PRODUCTS))
+def test_upset_enumeration_matches_scan_at_16_points(name):
+    t = SIXTEEN_POINT_PRODUCTS[name]()
+    assert t.opens == upsets_scan(16, t.min_nbhd)
+
+
 def test_preorder_validation():
     with pytest.raises(ValueError):
         Preorder(2, (0b10, 0b10))  # not reflexive
@@ -293,6 +313,10 @@ def test_parser_rejects_non_closed_family():
         '{"n": "three", "opens": []}',
         '{"n": 3, "opens": [[0, 5]]}',
         '{"n": 0, "opens": [[]]}',
+        '{"n": 3, "opens": 5}',
+        '{"n": true, "opens": [[], [0]]}',
+        '{"n": 2, "opens": [[], [0, true], [0, 1]]}',
+        '{"n": 2, "opens": [[], 1, [0, 1]]}',
     ],
 )
 def test_parser_rejects_malformed(text):
