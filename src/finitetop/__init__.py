@@ -2,7 +2,6 @@
 
 from .spaces import (
     MAX_POINTS,
-    Preorder,
     Topology,
     build_topology,
     complement,
@@ -18,7 +17,6 @@ from .spaces import (
     space_from_json,
     space_to_json,
     subspace,
-    to_preorder,
 )
 from .operators import (
     CLASS_KINDS,

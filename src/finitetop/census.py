@@ -17,7 +17,18 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, TextIO
 
-from .spaces import Preorder, Topology, from_preorder, full_set, space_from_obj, space_to_json
+from .spaces import (
+    Topology,
+    _is_int,
+    from_preorder,
+    full_set,
+    homeo_invariant,
+    is_homeomorphic,
+    iter_points,
+    parse_json,
+    space_from_obj,
+    space_to_json,
+)
 from .operators import alpha_topology, set_class
 from .covers import PROPERTY_TAGS, check_property
 
@@ -63,7 +74,7 @@ class PropertyProfile:
         if (
             not isinstance(sizes, dict)
             or sorted(sizes) != sorted(SIZE_KEYS)
-            or not all(isinstance(v, int) for v in sizes.values())
+            or not all(_is_int(v) for v in sizes.values())
         ):
             raise ValueError("profile sizes must cover every size key")
         if not all(isinstance(obj.get(flag), bool) for flag in ("gc_mismatch", "so_eq_alpha")):
@@ -111,13 +122,17 @@ def profile(t: Topology) -> PropertyProfile:
 
 # --- enumeration --------------------------------------------------------------
 
-def enumerate_preorders(n: int) -> Iterator[Preorder]:
-    """Every reflexive transitive relation on n points, lexicographic order."""
+def enumerate_preorders(n: int) -> Iterator[tuple[int, ...]]:
+    """Every reflexive transitive relation on n points, lexicographic order.
+
+    A relation is its tuple of up-set rows: row x is the mask of points y
+    with x <= y, the table that from_preorder takes.
+    """
     rows: list[int] = []
 
-    def rec(i: int) -> Iterator[Preorder]:
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            yield Preorder(n, tuple(rows))
+            yield tuple(rows)
             return
         for r in range(1 << n):
             if not r >> i & 1:
@@ -155,28 +170,12 @@ def enumerate_topologies(n: int, up_to_homeo: bool = False) -> Iterator[Topology
 
 
 def _dedup_by_homeomorphism(stream: Iterator[Topology]) -> Iterator[Topology]:
-    from .spaces import is_homeomorphic
-
     buckets: dict[tuple, list[Topology]] = {}
     for t in stream:
-        key = _homeo_signature(t)
-        reps = buckets.setdefault(key, [])
+        reps = buckets.setdefault(homeo_invariant(t), [])
         if not any(is_homeomorphic(t, rep) for rep in reps):
             reps.append(t)
             yield t
-
-
-def _homeo_signature(t: Topology) -> tuple:
-    down = [0] * t.n
-    for x in range(t.n):
-        for y in range(t.n):
-            if t.min_nbhd[x] >> y & 1:
-                down[y] |= 1 << x
-    return (
-        len(t.opens),
-        tuple(sorted(a.bit_count() for a in t.opens)),
-        tuple(sorted((t.min_nbhd[x].bit_count(), down[x].bit_count()) for x in range(t.n))),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -216,13 +215,9 @@ def record_to_obj(rec: CensusRecord) -> dict:
     return {
         "id": rec.id,
         "n": rec.n,
-        "opens": [sorted_points(u) for u in rec.space.opens],
+        "opens": [list(iter_points(u)) for u in rec.space.opens],
         "profile": rec.profile.to_obj(),
     }
-
-
-def sorted_points(mask: int) -> list[int]:
-    return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 def write_census(records: Iterable[CensusRecord], sink: TextIO) -> int:
@@ -251,10 +246,7 @@ def read_census(source: TextIO) -> list[CensusRecord]:
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: malformed record: {exc}") from exc
+        obj = parse_json(line, f"line {lineno}: malformed record")
         if n is None:
             if not isinstance(obj, dict):
                 raise ValueError(f"line {lineno}: header must be a JSON object")
@@ -263,7 +255,7 @@ def read_census(source: TextIO) -> list[CensusRecord]:
                     f"line {lineno}: unknown census format {obj.get('format')!r}"
                 )
             n = obj.get("n")
-            if not isinstance(n, int):
+            if not _is_int(n):
                 raise ValueError(f"line {lineno}: header is missing the point count")
             continue
         try:

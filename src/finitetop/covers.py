@@ -72,8 +72,6 @@ CONSTRAINTS = {
 # cover classes with a unique minimal member at every point
 _POINT_MINIMAL_KINDS = ("open", "alpha-open")
 
-_CP_EXACT_LIMIT = 16
-
 
 @dataclass(frozen=True)
 class SetFamily:
@@ -116,12 +114,12 @@ def covers_space(t: Topology, f: SetFamily) -> bool:
 def family_predicate(t: Topology, f: SetFamily, pred: str) -> bool:
     """Production evaluation of a structural family predicate.
 
-    discrete and closure-preserving are computed outright; the remaining
-    predicates collapse on finite families (singleton partitions witness the
-    sigma variants, and every neighborhood meets only finitely many members)
-    and return True by those documented theorems.  The definitional search
-    forms live in family_predicate_generic and are cross-checked against
-    these collapses by the test suite.
+    discrete is computed outright; the remaining predicates collapse on
+    finite families (closure is finitely additive, singleton partitions
+    witness the sigma variants, and every neighborhood meets only finitely
+    many members) and return True by those documented theorems.  The
+    definitional search forms live in family_predicate_generic and are
+    cross-checked against these collapses by the test suite.
     """
     if t.n != f.n:
         raise ValueError("family and space have different point counts")
@@ -136,9 +134,7 @@ def family_predicate(t: Topology, f: SetFamily, pred: str) -> bool:
     if pred in ("locally-finite", "locally-countable"):
         return True  # any neighborhood meets at most len(f) members
     if pred == "closure-preserving":
-        if len(f.members) > _CP_EXACT_LIMIT:
-            return True  # closure is finitely additive
-        return _closure_preserving_exact(t, f.members)
+        return True  # closure is finitely additive
     if pred == "sigma-closure-preserving":
         return True  # singleton partition; one-member families preserve closures
     raise ValueError(f"unknown family predicate {pred!r}")
@@ -440,5 +436,5 @@ def check_property(t: Topology, prop: str, mode: str = "simplified") -> bool:
             if a & b == 0
         )
     if prop == "nodec":
-        return alpha_topology(t).opens == t.opens
+        return alpha_topology(t) == t
     raise AssertionError(f"unhandled property {prop!r}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator
 
-from .spaces import Topology, iter_points, space_from_obj, space_to_obj
+from .spaces import Topology, iter_points, parse_json, space_from_obj, space_to_obj
 from .operators import alpha_topology, set_class
 from .covers import check_property
 
@@ -130,10 +130,7 @@ def map_to_json(f: SpaceMap) -> str:
 
 
 def map_from_json(text: str) -> SpaceMap:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed map text: {exc}") from exc
+    obj = parse_json(text, "malformed map text")
     for key in ("fn", "domain", "codomain"):
         if key not in obj:
             raise ValueError(f"map object needs the {key!r} field")

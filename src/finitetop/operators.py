@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .spaces import Preorder, Topology, complement, from_preorder, full_set, iter_points
+from .spaces import Topology, complement, from_preorder, full_set, iter_points
 
 CLASS_KINDS = (
     "open",
@@ -90,10 +90,9 @@ def alpha_topology(t: Topology) -> Topology:
     if any(v & ~u for v, u in zip(table, nbhd)):  # pragma: no cover - guards a theorem
         raise RuntimeError(f"alpha neighborhood table {table} is not inside {nbhd}")
     try:
-        refined = Preorder(n, table)
+        return from_preorder(table)
     except ValueError as exc:  # pragma: no cover - guards a theorem
         raise RuntimeError(f"alpha neighborhood table {table} is not a preorder: {exc}") from exc
-    return from_preorder(refined)
 
 
 def _is_alpha_open(t: Topology, a: int) -> bool:
@@ -162,8 +161,8 @@ def is_in_class(t: Topology, a: int, kind: str) -> bool:
     if kind == "clopen":
         return t.is_open(a) and t.is_closed(a)
     if kind == "g-closed":
-        cl = t.closure(a)
-        return all(cl & ~u == 0 for u in t.opens if a & ~u == 0)
+        # the open hull is the least open superset, so it stands for them all
+        return t.closure(a) & ~t.open_hull(a) == 0
     if kind == "g-open":
         return is_in_class(t, complement(a, n), "g-closed")
     if kind == "sg-closed":
@@ -174,8 +173,7 @@ def is_in_class(t: Topology, a: int, kind: str) -> bool:
         return is_in_class(t, complement(a, n), "sg-closed")
     if kind == "g-alpha-closed":
         ta = alpha_topology(t)
-        cla = ta.closure(a)
-        return all(cla & ~u == 0 for u in ta.opens if a & ~u == 0)
+        return ta.closure(a) & ~ta.open_hull(a) == 0
     if kind == "f-sigma-g-alpha-closed":
         # finite unions exhaust countable ones here, so a qualifies iff the
         # g-alpha-closed subsets of a already cover it pointwise

@@ -2,10 +2,13 @@
 
 Points of a space are the integers 0..n-1 and a subset of the space is a
 plain ``int`` whose bit ``i`` records membership of point ``i``.  With n
-capped at 16 every subset fits in one machine word and all operators reduce
-to a few bit operations against the memoized minimal-neighborhood table.
-The open sets are enumerated from that table in time proportional to their
-number; a class with no closed form scans at most 65536 masks.
+capped at 16 every subset fits in one machine word.  A space is its
+minimal-neighborhood table: ``min_nbhd[x]`` is the smallest open set around
+x, which is also the up-set of x in the specialization preorder
+(Alexandroff's correspondence).  Every operator reduces to a few bit
+operations against that table, and the open sets are enumerated from it on
+demand, in time proportional to their number; a class with no closed form
+scans at most 65536 masks.
 """
 
 from __future__ import annotations
@@ -61,15 +64,19 @@ def family_text(members: Iterable[int], n: int) -> str:
 
 
 class Topology:
-    """An immutable finite topological space.
+    """An immutable finite topological space, identified by its table.
 
-    ``opens`` is the duplicate-free tuple of open sets in canonical order
-    (ascending bitmask value) and ``min_nbhd[x]`` is the smallest open set
-    containing point x.  Both are fixed at construction time, so values can
-    be shared freely across workers.
+    ``min_nbhd[x]`` is the smallest open set containing point x; equality
+    and hashing use this table alone.  ``opens`` is the duplicate-free tuple
+    of open sets in canonical order (ascending bitmask value), enumerated
+    from the table on first use and cached.  Values can be shared freely
+    across workers.
+
+    ``Topology(n, opens)`` validates an open family read from outside;
+    ``from_preorder`` builds a space from its table.
     """
 
-    __slots__ = ("n", "opens", "min_nbhd", "_open_set", "_hash")
+    __slots__ = ("n", "min_nbhd", "_opens", "_hash")
 
     def __init__(self, n: int, opens: Iterable[int]):
         if not 1 <= n <= MAX_POINTS:
@@ -84,27 +91,27 @@ class Topology:
         regenerated = _upward_closed_sets(n, nbhd)
         if regenerated != tuple(family):
             raise ValueError("open family is not closed under union/intersection")
-        self._init_slots(n, tuple(family), nbhd)
+        self.n, self.min_nbhd, self._opens, self._hash = n, nbhd, regenerated, hash(nbhd)
 
-    def _init_slots(self, n: int, opens: tuple[int, ...], nbhd: tuple[int, ...]) -> None:
-        self.n = n
-        self.opens = opens
-        self.min_nbhd = nbhd
-        self._open_set = frozenset(opens)
-        self._hash = hash((n, opens))
-
-    @classmethod
-    def _trusted(cls, n: int, opens: tuple[int, ...], nbhd: tuple[int, ...]) -> "Topology":
-        # internal fast path for families already known to be upward closed
-        self = object.__new__(cls)
-        self._init_slots(n, opens, nbhd)
-        return self
+    @property
+    def opens(self) -> tuple[int, ...]:
+        if self._opens is None:
+            self._opens = _upward_closed_sets(self.n, self.min_nbhd)
+        return self._opens
 
     def is_open(self, a: int) -> bool:
-        return a in self._open_set
+        """a holds the minimal neighborhood of each of its points."""
+        if a < 0 or a >> self.n:
+            return False
+        nbhd = self.min_nbhd
+        for x in iter_points(a):
+            if nbhd[x] & ~a:
+                return False
+        return True
 
     def is_closed(self, a: int) -> bool:
-        return complement(a, self.n) in self._open_set
+        # the complement keeps any points outside the space, so is_open rejects them
+        return self.is_open(a ^ full_set(self.n))
 
     def interior(self, a: int) -> int:
         """Largest open set inside a."""
@@ -130,17 +137,13 @@ class Topology:
         return m
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Topology)
-            and self.n == other.n
-            and self.opens == other.opens
-        )
+        return isinstance(other, Topology) and self.min_nbhd == other.min_nbhd
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Topology(n={self.n}, opens={family_text(self.opens, self.n)})"
+        return f"from_preorder({self.min_nbhd!r})"
 
 
 def _min_table(n: int, family: Iterable[int]) -> tuple[int, ...]:
@@ -157,10 +160,7 @@ def _upward_closed_sets(n: int, nbhd: tuple[int, ...]) -> tuple[int, ...]:
     # x is out, and with it every point whose neighborhood holds x, or x is
     # in, and with it nbhd[x].  The points left undecided are unconstrained
     # by the decided ones, so every leaf is one open set.
-    below = [0] * n
-    for y in range(n):
-        for x in iter_points(nbhd[y]):
-            below[x] |= 1 << y
+    below = _down_sets(nbhd)
     out = []
     stack = [(full_set(n), 0)]
     while stack:
@@ -175,6 +175,15 @@ def _upward_closed_sets(n: int, nbhd: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _down_sets(nbhd: tuple[int, ...]) -> list[int]:
+    # down[x] is the mask of points whose minimal neighborhood holds x
+    down = [0] * len(nbhd)
+    for y, up in enumerate(nbhd):
+        for x in iter_points(up):
+            down[x] |= 1 << y
+    return down
+
+
 def build_topology(n: int, generators: Iterable[int]) -> Topology:
     """Smallest topology on n points containing every generator."""
     if not 1 <= n <= MAX_POINTS:
@@ -185,7 +194,7 @@ def build_topology(n: int, generators: Iterable[int]) -> Topology:
     nbhd = _min_table(n, gens)
     # nbhd is transitive: y in nbhd[x] means every generator through x
     # also passes through y, hence nbhd[y] subset of nbhd[x]
-    return Topology._trusted(n, _upward_closed_sets(n, nbhd), nbhd)
+    return from_preorder(nbhd)
 
 
 def discrete(n: int) -> Topology:
@@ -221,9 +230,7 @@ def subspace(t: Topology, a: int) -> tuple[Topology, tuple[int, ...]]:
             out |= 1 << index[p]
         return out
 
-    opens = tuple(sorted({restrict(u) for u in t.opens}))
-    nbhd = tuple(restrict(t.min_nbhd[p]) for p in points)
-    return Topology._trusted(len(points), opens, nbhd), points
+    return from_preorder(tuple(restrict(t.min_nbhd[p]) for p in points)), points
 
 
 def product(t1: Topology, t2: Topology) -> Topology:
@@ -252,70 +259,42 @@ def _box(u: int, v: int, n2: int) -> int:
     return m
 
 
-class Preorder:
-    """A reflexive transitive relation stored as per-point up-set masks.
+def from_preorder(rows: tuple[int, ...]) -> Topology:
+    """The space whose minimal neighborhoods are the given rows.
 
-    ``up[x]`` is the mask of points y with x <= y.
+    ``rows[x]`` is the up-set of x in a preorder: the mask of points y with
+    x <= y.  The opens are then exactly the upward-closed sets.  Raises
+    ValueError unless the rows fit the point count and the relation is
+    reflexive and transitive.
     """
-
-    __slots__ = ("n", "up")
-
-    def __init__(self, n: int, up: Iterable[int]):
-        rows = tuple(up)
-        if len(rows) != n:
-            raise ValueError("relation must have one row per point")
-        for x, row in enumerate(rows):
-            check_fits(row, n)
-            if not row >> x & 1:
-                raise ValueError(f"relation is not reflexive at point {x}")
-            for y in iter_points(row):
-                if rows[y] & ~row:
-                    raise ValueError("relation is not transitive")
-        self.n = n
-        self.up = rows
-
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.up[x] >> y & 1)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Preorder) and self.n == other.n and self.up == other.up
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.up))
-
-    def __repr__(self) -> str:
-        return f"Preorder(n={self.n}, up={self.up})"
-
-
-def to_preorder(t: Topology) -> Preorder:
-    """Specialization preorder: x <= y iff y lies in every neighborhood of x."""
-    return Preorder(t.n, t.min_nbhd)
-
-
-def from_preorder(r: Preorder) -> Topology:
-    """The topology whose opens are exactly the upward-closed sets."""
-    return Topology._trusted(r.n, _upward_closed_sets(r.n, r.up), r.up)
+    rows = tuple(rows)
+    n = len(rows)
+    if not 1 <= n <= MAX_POINTS:
+        raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
+    for x, row in enumerate(rows):
+        check_fits(row, n)
+        if not row >> x & 1:
+            raise ValueError(f"relation is not reflexive at point {x}")
+        for y in iter_points(row):
+            if rows[y] & ~row:
+                raise ValueError("relation is not transitive")
+    t = object.__new__(Topology)
+    t.n, t.min_nbhd, t._opens, t._hash = n, rows, None, hash(rows)
+    return t
 
 
 def find_homeomorphism(t1: Topology, t2: Topology) -> Optional[tuple[int, ...]]:
     """A point bijection carrying opens onto opens, or None.
 
-    Backtracking over the specialization preorders with invariant pruning:
-    open-set count, open-size multiset, and per-point (up-set, down-set)
-    size signatures.
+    Backtracking over the specialization preorders, pruned by the per-point
+    (up-set, down-set) size signatures.  Callers sorting many spaces bucket
+    them by homeo_invariant first.
     """
     if t1.n != t2.n:
         raise ValueError("spaces must have the same number of points")
     n = t1.n
-    if len(t1.opens) != len(t2.opens):
-        return None
-    if sorted(a.bit_count() for a in t1.opens) != sorted(a.bit_count() for a in t2.opens):
-        return None
     up1, up2 = t1.min_nbhd, t2.min_nbhd
-    down1 = _down_sets(up1, n)
-    down2 = _down_sets(up2, n)
-    sig1 = [(up1[x].bit_count(), down1[x].bit_count()) for x in range(n)]
-    sig2 = [(up2[x].bit_count(), down2[x].bit_count()) for x in range(n)]
+    sig1, sig2 = _point_signatures(t1), _point_signatures(t2)
     if sorted(sig1) != sorted(sig2):
         return None
 
@@ -356,12 +335,15 @@ def find_homeomorphism(t1: Topology, t2: Topology) -> Optional[tuple[int, ...]]:
     return fn
 
 
-def _down_sets(up: tuple[int, ...], n: int) -> list[int]:
-    down = [0] * n
-    for x in range(n):
-        for y in iter_points(up[x]):
-            down[y] |= 1 << x
-    return down
+def homeo_invariant(t: Topology) -> tuple:
+    """Equal on homeomorphic spaces: the open-size multiset (so the open
+    count) and the multiset of per-point (up-set, down-set) sizes."""
+    return tuple(sorted(a.bit_count() for a in t.opens)), tuple(sorted(_point_signatures(t)))
+
+
+def _point_signatures(t: Topology) -> list[tuple[int, int]]:
+    down = _down_sets(t.min_nbhd)
+    return [(up.bit_count(), d.bit_count()) for up, d in zip(t.min_nbhd, down)]
 
 
 def is_homeomorphic(t1: Topology, t2: Topology) -> bool:
@@ -406,12 +388,16 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def space_from_json(text: str, complete: bool = False) -> Topology:
+def parse_json(text: str, what: str) -> object:
+    """json.loads with every parse failure, nesting too deep included, as ValueError."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed space text: {exc}") from exc
-    return space_from_obj(obj, complete=complete)
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
+def space_from_json(text: str, complete: bool = False) -> Topology:
+    return space_from_obj(parse_json(text, "malformed space text"), complete=complete)
 
 
 def load_space(source: TextIO, complete: bool = False) -> Topology:

@@ -16,8 +16,10 @@ from .spaces import (
     MAX_POINTS,
     Topology,
     family_text,
+    iter_points,
     product,
     set_text,
+    space_to_obj,
     subspace,
 )
 from .operators import alpha_topology, hull, set_class
@@ -599,13 +601,11 @@ _RECHECKS = {
 
 
 def witness_to_obj(w: Witness) -> dict:
-    from .spaces import space_to_obj
-
     return {
         "predicate": w.predicate,
         "n": w.n,
         "spaces": [space_to_obj(t) for t in w.spaces],
-        "subsets": [sorted(p for p in range(MAX_POINTS) if a >> p & 1) for a in w.subsets],
+        "subsets": [list(iter_points(a)) for a in w.subsets],
         "map": None if w.space_map is None else list(w.space_map.fn),
         "explanation": w.explanation,
     }

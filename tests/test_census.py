@@ -152,24 +152,44 @@ def test_read_rejects_malformed_line():
         read_census(io.StringIO("".join(lines)))
 
 
-@pytest.mark.parametrize(
-    "shape", ["header-not-object", "record-not-object", "profile-not-object", "flag-missing"]
+MALFORMED_SHAPES = (
+    "header-not-object",
+    "header-bool-point-count",
+    "record-not-object",
+    "record-nested-100000-deep",
+    "profile-not-object",
+    "profile-bool-size",
+    "flag-missing",
 )
+
+
+@pytest.mark.parametrize("shape", MALFORMED_SHAPES)
 def test_read_rejects_malformed_shapes(shape):
+    # a one-point census, so that a header n of true would read as n = 1
     buf = io.StringIO()
-    write_census(census_records(2), buf)
+    write_census(census_records(1), buf)
     header, first = buf.getvalue().splitlines()[:2]
     obj = json.loads(first)
+    record = None
     if shape == "header-not-object":
         header = "[]"
+    elif shape == "header-bool-point-count":
+        header = json.dumps({**json.loads(header), "n": True})
     elif shape == "record-not-object":
         obj = 5
+    elif shape == "record-nested-100000-deep":
+        record = "[" * 100_000 + "]" * 100_000
     elif shape == "profile-not-object":
         obj["profile"] = 5
+    elif shape == "profile-bool-size":
+        obj["profile"]["sizes"]["alpha"] = True
     else:
         del obj["profile"]["gc_mismatch"]
-    with pytest.raises(ValueError, match="line"):
-        read_census(io.StringIO(header + "\n" + json.dumps(obj) + "\n"))
+    if record is None:
+        record = json.dumps(obj)
+    line = "line 1" if shape.startswith("header") else "line 2"
+    with pytest.raises(ValueError, match=line):
+        read_census(io.StringIO(header + "\n" + record + "\n"))
 
 
 def test_read_rejects_non_closed_opens():

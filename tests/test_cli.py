@@ -15,18 +15,33 @@ from finitetop.cli import main
 
 SPACE_TEXT = '{"n": 3, "opens": [[], [0], [0, 1, 2]]}'
 
-# JSON that parses but is not a space; each must exit 2 without a traceback
+# space fields, each value as JSON text, that do not make a space; each must
+# exit 2 without a traceback
 MALFORMED_SPACES = {
-    "opens-not-a-list": {"n": 3, "opens": 5},
-    "bool-point-count": {"n": True, "opens": [[], [0]]},
-    "bool-point": {"n": 2, "opens": [[], [0, True], [0, 1]]},
-    "entry-not-a-list": {"n": 2, "opens": [[], 1, [0, 1]]},
+    "opens-not-a-list": {"n": "3", "opens": "5"},
+    "bool-point-count": {"n": "true", "opens": "[[], [0]]"},
+    "bool-point": {"n": "2", "opens": "[[], [0, true], [0, 1]]"},
+    "entry-not-a-list": {"n": "2", "opens": "[[], 1, [0, 1]]"},
+    "nested-100000-deep": {"n": "3", "opens": "[" * 100_000 + "]" * 100_000},
 }
 
-# SHA-256 of stdout as the definitional 2^n scans printed it (commit 5111cc0);
+
+def object_text(fields):
+    """A JSON object from field names and the JSON text of their values."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}"
+
+
+# SHA-256 of stdout as the definitional 2^n scans printed it (commit 5111cc0;
+# the homeomorphism census and the g-closed search at commit bca6d73);
 # census files, space ids and report text stay byte-identical
 PINNED_STDOUT_SHA256 = {
     "census --n 4": "e32541eee516ae3900ede709dd60c8f8ade0f2b2617885bde3650328ca3d8fcd",
+    "census --n 5 --up-to-homeo": (
+        "126b06574c9d1bc1cc2a2f25d41614f16c342ab1a5c4b5ffd4f84d75b67177e1"
+    ),
+    "search --predicate gc-mismatch --max-n 4": (
+        "1a6a8f068aa22ef730b2f31fb17bd74bdf46dc61b4611f1e35b7da63d4eeb19b"
+    ),
     "verify --n 4 --suite all": "bfbdef6fb05078d46e34276745a236dc98b8fcd52471b3d576f32f75f2e15594",
     "search --predicate question1-witness --max-n 3": (
         "58d58d1922fed8df6f54e5067b389ba2efcaa14b1a1815d3fe9085f039cba61a"
@@ -233,7 +248,7 @@ def test_stdout_matches_pinned_digest(capsys, command):
 @pytest.mark.parametrize("name", sorted(MALFORMED_SPACES))
 def test_inspect_malformed_space_exits_2(tmp_path, name):
     space = tmp_path / "space.json"
-    space.write_text(json.dumps(MALFORMED_SPACES[name]))
+    space.write_text(object_text(MALFORMED_SPACES[name]))
     result = run_module(tmp_path, "inspect", "--space", str(space), "--facets", "alpha")
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
@@ -245,15 +260,34 @@ def test_verify_census_malformed_record_exits_2(tmp_path, name):
     # a valid record of the space a bool-as-int reading would produce, with
     # its n and opens fields replaced
     fields = MALFORMED_SPACES[name]
-    t = indiscrete(int(fields["n"]))
+    t = indiscrete(int(json.loads(fields["n"])))
     header = {"format": CENSUS_FORMAT, "n": t.n}
-    record = {**record_to_obj(CensusRecord(space_id(t), t, profile(t))), **fields}
+    record = record_to_obj(CensusRecord(space_id(t), t, profile(t)))
+    record = {**{k: json.dumps(v) for k, v in record.items()}, **fields}
+    path = tmp_path / "census.txt"
+    path.write_text(json.dumps(header) + "\n" + object_text(record) + "\n")
+    result = run_module(tmp_path, "verify", "--census", str(path), "--suite", "prop-p1")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "line 2:" in result.stderr
+
+
+@pytest.mark.parametrize("field", ["header-point-count", "profile-size"])
+def test_verify_census_bool_count_exits_2(tmp_path, field):
+    # true must not pass for the integer 1
+    t = indiscrete(1)
+    header = {"format": CENSUS_FORMAT, "n": 1}
+    record = record_to_obj(CensusRecord(space_id(t), t, profile(t)))
+    if field == "header-point-count":
+        header["n"] = True
+    else:
+        record["profile"]["sizes"]["so"] = True
     path = tmp_path / "census.txt"
     path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
     result = run_module(tmp_path, "verify", "--census", str(path), "--suite", "prop-p1")
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert "line 2:" in result.stderr
+    assert "finitetop: error: line" in result.stderr
 
 
 def test_module_invocation_smoke(tmp_path):

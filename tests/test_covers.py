@@ -76,7 +76,7 @@ def test_finite_collapse_predicates_hold(t, data):
         assert family_predicate(t, fam, pred)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_generic_forms_agree_with_production(n):
     """The definitional search forms must reproduce the collapse theorems."""
     for t in labeled_census(n):

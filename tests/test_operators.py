@@ -81,6 +81,17 @@ def g_closed_literal(t, a):
     )
 
 
+def g_alpha_closed_literal(t, alpha_opens, a):
+    # every alpha-open superset, from the formula scan, holds the alpha-closure,
+    # itself the intersection of the complements of the alpha-opens around a
+    full = full_set(t.n)
+    cla = full
+    for u in alpha_opens:
+        if a & u == 0:
+            cla &= full ^ u
+    return all(cla & ~u == 0 for u in alpha_opens if a & ~u == 0)
+
+
 def sg_closed_literal(t, a):
     # complement of the literal sg-open form, with the semi-interior taken
     # as the union of semi-open subsets (the independent route)
@@ -234,12 +245,16 @@ def test_indiscrete_closed_sets():
     assert closed_sets(indiscrete(2)).members == (0, 0b11)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_literal_forms_agree_exhaustively(n):
-    """Containment characterizations versus the literal complement forms."""
+    """Closed forms versus the literal scans over opens and alpha-opens."""
     for t in labeled_census(n):
+        alpha_opens = alpha_open_scan(t)
         for a in range(1 << n):
             assert is_in_class(t, a, "g-closed") == g_closed_literal(t, a)
+            assert is_in_class(t, a, "g-alpha-closed") == g_alpha_closed_literal(
+                t, alpha_opens, a
+            )
             assert is_in_class(t, a, "sg-closed") == sg_closed_literal(t, a)
             assert is_in_class(t, a, "g-open") == is_in_class(
                 t, complement(a, n), "g-closed"

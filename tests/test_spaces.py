@@ -1,4 +1,4 @@
-"""Space construction, subspaces, products, preorders, homeomorphism, IO."""
+"""Space construction, subspaces, products, preorder tables, homeomorphism, IO."""
 
 import json
 
@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from conftest import SIXTEEN_POINT_PRODUCTS, topologies, topology_and_subset
 from finitetop import (
-    Preorder,
     Topology,
     build_topology,
     complement,
@@ -21,7 +20,6 @@ from finitetop import (
     space_from_json,
     space_to_json,
     subspace,
-    to_preorder,
 )
 from finitetop.census import enumerate_preorders, labeled_census
 from finitetop.spaces import full_set, iter_points, mask_of, set_text
@@ -202,32 +200,50 @@ def test_product_size_overflow():
 # --- preorder correspondence ------------------------------------------------------
 
 def test_preorder_trivials():
-    eq = to_preorder(discrete(3))
-    assert eq.up == (1, 2, 4)
-    total = to_preorder(indiscrete(3))
-    assert total.up == (7, 7, 7)
+    eq = discrete(3).min_nbhd
+    assert eq == (1, 2, 4)
+    total = indiscrete(3).min_nbhd
+    assert total == (7, 7, 7)
     assert from_preorder(eq) == discrete(3)
     assert from_preorder(total) == indiscrete(3)
 
 
 def test_preorder_round_trip_single_open_point(one_open_point):
-    r = to_preorder(one_open_point)
-    assert r.up == (0b001, 0b111, 0b111)
+    r = one_open_point.min_nbhd
+    assert r == (0b001, 0b111, 0b111)
     assert from_preorder(r) == one_open_point
+    # equality, hashing and repr follow the table
+    assert hash(from_preorder(r)) == hash(one_open_point)
+    assert from_preorder((0b001, 0b011, 0b111)) != one_open_point
+    assert eval(repr(one_open_point), {"from_preorder": from_preorder}) == one_open_point
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_round_trip_identity_both_directions(n):
     for t in labeled_census(n):
-        assert from_preorder(to_preorder(t)) == t
+        assert from_preorder(t.min_nbhd) == t
+        assert Topology(n, t.opens) == t
     for r in enumerate_preorders(n):
-        assert to_preorder(from_preorder(r)) == r
+        assert from_preorder(r).min_nbhd == r
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_upset_enumeration_matches_scan(n):
     for r in enumerate_preorders(n):
-        assert from_preorder(r).opens == upsets_scan(n, r.up)
+        assert from_preorder(r).opens == upsets_scan(n, r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_open_and_closed_tests_agree_with_opens(n):
+    # every mask of the space, plus masks with points outside it
+    full = full_set(n)
+    outside = (-1, -(1 << n), 1 << n, full | 1 << n, 1 << 20, (1 << 20) - 1)
+    for t in labeled_census(n):
+        opens = set(t.opens)
+        closed = {complement(u, n) for u in opens}
+        for a in (*range(1 << n), *outside):
+            assert t.is_open(a) == (a in opens), (t, a)
+            assert t.is_closed(a) == (a in closed), (t, a)
 
 
 @pytest.mark.slow
@@ -239,9 +255,15 @@ def test_upset_enumeration_matches_scan_at_16_points(name):
 
 def test_preorder_validation():
     with pytest.raises(ValueError):
-        Preorder(2, (0b10, 0b10))  # not reflexive
+        from_preorder((0b10, 0b10))  # not reflexive
     with pytest.raises(ValueError):
-        Preorder(3, (0b011, 0b110, 0b100))  # 0<=1, 1<=2, not 0<=2
+        from_preorder((0b011, 0b110, 0b100))  # 0<=1, 1<=2, not 0<=2
+    with pytest.raises(ValueError):
+        from_preorder((0b01, 0b110))  # row names a third point
+    with pytest.raises(ValueError):
+        from_preorder(())  # no points
+    with pytest.raises(ValueError):
+        from_preorder(tuple(1 << x for x in range(17)))  # past the point cap
 
 
 # --- homeomorphism -----------------------------------------------------------------
