@@ -21,9 +21,7 @@ from .spaces import (
 from .operators import (
     CLASS_KINDS,
     HULL_KINDS,
-    SetClass,
     alpha_topology,
-    closed_sets,
     hull,
     is_in_class,
     set_class,

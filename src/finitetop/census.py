@@ -108,14 +108,13 @@ def space_id(t: Topology) -> str:
 def profile(t: Topology) -> PropertyProfile:
     """All property booleans, class sizes, and the shared-class flags."""
     ta = alpha_topology(t)
-    so = set_class(t, "semi-open").members
-    sizes = {key: len(set_class(t, kind).members) for key, kind in _SIZE_CLASS.items()}
+    so = set_class(t, "semi-open")
+    sizes = {key: len(set_class(t, kind)) for key, kind in _SIZE_CLASS.items()}
     sizes["alpha"] = len(ta.opens)
     return PropertyProfile(
         properties={tag: check_property(t, tag) for tag in PROPERTY_TAGS},
         sizes=sizes,
-        gc_mismatch=set_class(t, "g-closed").members
-        != set_class(ta, "g-closed").members,
+        gc_mismatch=set_class(t, "g-closed") != set_class(ta, "g-closed"),
         so_eq_alpha=so == ta.opens,
     )
 

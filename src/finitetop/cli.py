@@ -14,7 +14,7 @@ from typing import Optional, TextIO
 
 from . import census as census_mod
 from . import verifier
-from .spaces import Topology, family_text, load_space, space_to_obj
+from .spaces import Topology, family_text, iter_points, load_space, space_to_obj
 from .operators import CLASS_KINDS, alpha_topology, set_class
 from .covers import PROPERTY_TAGS, check_property, property_reason
 
@@ -194,8 +194,7 @@ def _facet_text(t: Topology, facet: str) -> str:
         reason = property_reason(facet)
         suffix = " (finite-space theorem)" if reason else ""
         return f"{facet}={_bool_text(value)}{suffix}"
-    members = set_class(t, facet).members
-    return f"{facet} = {family_text(members, t.n)}"
+    return f"{facet} = {family_text(set_class(t, facet), t.n)}"
 
 
 def _sizes_text(prof) -> str:
@@ -217,7 +216,8 @@ def _facet_obj(t: Topology, facet: str) -> dict:
         if reason:
             obj["reason"] = reason
         return obj
-    return {"facet": facet, "members": set_class(t, facet).to_lists()}
+    members = [sorted(iter_points(m)) for m in set_class(t, facet)]
+    return {"facet": facet, "members": members}
 
 
 def _bool_text(value: bool) -> str:

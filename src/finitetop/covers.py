@@ -275,7 +275,7 @@ def has_refinement(
     class_kind, preds, dense = CONSTRAINTS[constraint]
     candidates = tuple(
         c
-        for c in set_class(t, class_kind).members
+        for c in set_class(t, class_kind)
         if c != 0 and any(c & ~u == 0 for u in cover.members)
     )
     if mode == "simplified":
@@ -329,7 +329,7 @@ def _refine_exhaustive(t, candidates, preds, dense):
 
 def irredundant_covers(t: Topology, kind: str) -> Iterator[SetFamily]:
     """All covers by nonempty class members with no member inside the others' union."""
-    members = [m for m in set_class(t, kind).members if m != 0]
+    members = [m for m in set_class(t, kind) if m != 0]
     full = full_set(t.n)
     k = len(members)
     for pick in range(1, 1 << k):
@@ -400,7 +400,7 @@ def property_reason(prop: str) -> Optional[str]:
 
 
 @lru_cache(maxsize=None)
-def check_property(t: Topology, prop: str, mode: str = "simplified") -> bool:
+def check_property(t: Topology, prop: str) -> bool:
     """Evaluate one covering/separation property of the space.
 
     Finite-subcover and countable-subcover properties are identically true
@@ -410,17 +410,19 @@ def check_property(t: Topology, prop: str, mode: str = "simplified") -> bool:
     if prop not in PROPERTY_TAGS:
         raise ValueError(f"unknown property {prop!r}")
     if prop == "alpha-compact":
-        return check_property(alpha_topology(t), "compact", mode)
+        return check_property(alpha_topology(t), "compact")
     if prop in FINITE_SPACE_REASONS:
         return True
     if prop == "subparacompact":
-        return every_cover_has_refinement(t, "open", "closed+sigma-discrete", mode)
+        return every_cover_has_refinement(t, "open", "closed+sigma-discrete")
     if prop == "alpha-subparacompact":
-        return every_cover_has_refinement(t, "alpha-open", "closed+sigma-discrete", mode)
+        return every_cover_has_refinement(t, "alpha-open", "closed+sigma-discrete")
     if prop == "alpha-paracompact":
-        return every_cover_has_refinement(t, "alpha-open", "open+locally-finite", mode)
+        return every_cover_has_refinement(t, "alpha-open", "open+locally-finite")
     if prop == "extremally-disconnected":
-        return all(t.is_open(t.closure(u)) for u in t.opens)
+        # closure is finitely additive, so the closures of the minimal
+        # neighborhoods decide it for every open set
+        return all(t.is_open(t.closure(u)) for u in t.min_nbhd)
     if prop == "hausdorff":
         return all(
             t.min_nbhd[x] & t.min_nbhd[y] == 0
@@ -428,12 +430,15 @@ def check_property(t: Topology, prop: str, mode: str = "simplified") -> bool:
             for y in range(x + 1, t.n)
         )
     if prop == "normal":
-        closed = set_class(t, "closed").members
+        # the open hull of a closed set is the union of the minimal
+        # neighborhoods of its points, and points of disjoint closed sets
+        # have disjoint closures, so pairs of points decide it
+        closures = [t.closure(1 << x) for x in range(t.n)]
         return all(
-            t.open_hull(a) & t.open_hull(b) == 0
-            for a in closed
-            for b in closed
-            if a & b == 0
+            t.min_nbhd[x] & t.min_nbhd[y] == 0
+            for x in range(t.n)
+            for y in range(x + 1, t.n)
+            if closures[x] & closures[y] == 0
         )
     if prop == "nodec":
         return alpha_topology(t) == t

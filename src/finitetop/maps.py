@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator
 
-from .spaces import Topology, iter_points, parse_json, space_from_obj, space_to_obj
-from .operators import alpha_topology, set_class
+from .spaces import Topology, _is_int, iter_points, parse_json, space_from_obj, space_to_obj
+from .operators import alpha_topology
 from .covers import check_property
 
 MAP_KINDS = ("continuous", "open", "closed", "alpha-irresolute", "surjective", "injective")
@@ -47,22 +47,33 @@ class SpaceMap:
         return out
 
 
+def _order_preserving(fn: tuple[int, ...], dom: Topology, cod: Topology) -> bool:
+    # continuity on finite spaces: each minimal neighborhood maps into the
+    # minimal neighborhood of its point's image
+    cod_nbhd = cod.min_nbhd
+    return all(
+        cod_nbhd[fn[x]] >> fn[y] & 1
+        for x in range(dom.n)
+        for y in iter_points(dom.min_nbhd[x])
+    )
+
+
 def map_predicate(f: SpaceMap, kind: str) -> bool:
-    """Standard map predicates; alpha-irresolute pulls back the refined opens."""
+    """Standard map predicates, read off the minimal-neighborhood tables.
+
+    Images are additive, so open (closed) maps need only check the minimal
+    neighborhoods (point closures) that every open (closed) set is a union
+    of; alpha-irresolute is continuity between the alpha-refinements.
+    """
+    dom, cod = f.domain, f.codomain
     if kind == "continuous":
-        return all(f.domain.is_open(f.preimage(v)) for v in f.codomain.opens)
+        return _order_preserving(f.fn, dom, cod)
     if kind == "open":
-        return all(f.codomain.is_open(f.image(u)) for u in f.domain.opens)
+        return all(cod.is_open(f.image(u)) for u in dom.min_nbhd)
     if kind == "closed":
-        closed = set_class(f.codomain, "closed")
-        return all(
-            f.image(c) in closed for c in set_class(f.domain, "closed").members
-        )
+        return all(cod.is_closed(f.image(dom.closure(1 << x))) for x in range(dom.n))
     if kind == "alpha-irresolute":
-        dom_alpha = alpha_topology(f.domain)
-        return all(
-            dom_alpha.is_open(f.preimage(v)) for v in alpha_topology(f.codomain).opens
-        )
+        return _order_preserving(f.fn, alpha_topology(dom), alpha_topology(cod))
     if kind == "surjective":
         return f.image((1 << f.domain.n) - 1) == (1 << f.codomain.n) - 1
     if kind == "injective":
@@ -131,11 +142,12 @@ def map_to_json(f: SpaceMap) -> str:
 
 def map_from_json(text: str) -> SpaceMap:
     obj = parse_json(text, "malformed map text")
+    if not isinstance(obj, dict):
+        raise ValueError("map text must be a JSON object")
     for key in ("fn", "domain", "codomain"):
         if key not in obj:
             raise ValueError(f"map object needs the {key!r} field")
-    return SpaceMap(
-        space_from_obj(obj["domain"]),
-        space_from_obj(obj["codomain"]),
-        tuple(obj["fn"]),
-    )
+    fn = obj["fn"]
+    if not isinstance(fn, list) or not all(_is_int(y) for y in fn):
+        raise ValueError("'fn' must be a list of integer points")
+    return SpaceMap(space_from_obj(obj["domain"]), space_from_obj(obj["codomain"]), tuple(fn))

@@ -157,8 +157,8 @@ def run_all_suites(spaces: Iterable[Topology]) -> list[Report]:
 # --- per-space suite checkers -------------------------------------------------
 
 def _class_equal(t: Topology, kind: str) -> Optional[str]:
-    base = set_class(t, kind).members
-    refined = set_class(alpha_topology(t), kind).members
+    base = set_class(t, kind)
+    refined = set_class(alpha_topology(t), kind)
     if base == refined:
         return None
     return (
@@ -183,14 +183,14 @@ def _check_prop_p1(t):
                 f"semi-closures of {set_text(a, t.n)} differ: refined "
                 f"{set_text(left, t.n)}, base {set_text(right, t.n)}"
             )
-    if set_class(t, "sg-closed").members != set_class(ta, "sg-closed").members:
+    if set_class(t, "sg-closed") != set_class(ta, "sg-closed"):
         problems.append(_class_equal(t, "sg-closed"))
     return True, problems
 
 
 def _check_lemma_22(t):
     problems = []
-    for a in set_class(t, "semi-open").members:
+    for a in set_class(t, "semi-open"):
         if hull(t, a, "alpha-closure") != hull(t, a, "closure"):
             problems.append(
                 f"closures of semi-open {set_text(a, t.n)} differ under refinement"
@@ -268,7 +268,7 @@ def _check_thm_t32(t):
     if not fired:
         return False, []
     problems = []
-    for a in set_class(t, "f-sigma-g-alpha-closed").members:
+    for a in set_class(t, "f-sigma-g-alpha-closed"):
         if a == 0:
             continue
         sub, _ = subspace(t, a)
@@ -284,8 +284,8 @@ def _check_cor_closed_hereditary(t):
     if not fired:
         return False, []
     problems = []
-    fsga = set_class(t, "f-sigma-g-alpha-closed")
-    for a in set_class(t, "closed").members:
+    fsga = frozenset(set_class(t, "f-sigma-g-alpha-closed"))
+    for a in set_class(t, "closed"):
         if a == 0:
             continue
         if a not in fsga:
@@ -442,8 +442,8 @@ def search_counts(witnesses: list[Witness], max_n: int) -> dict[int, int]:
 
 def _search_gc_mismatch(t: Topology) -> Optional[Witness]:
     ta = alpha_topology(t)
-    base = set_class(t, "g-closed").member_set
-    refined = set_class(ta, "g-closed").member_set
+    base = frozenset(set_class(t, "g-closed"))
+    refined = frozenset(set_class(ta, "g-closed"))
     diff = sorted(base ^ refined)
     if not diff:
         return None
@@ -558,8 +558,8 @@ _SEARCHES = {
 def _recheck_gc(w: Witness) -> bool:
     (t,) = w.spaces
     (a,) = w.subsets
-    base = set_class(t, "g-closed").member_set
-    refined = set_class(alpha_topology(t), "g-closed").member_set
+    base = frozenset(set_class(t, "g-closed"))
+    refined = frozenset(set_class(alpha_topology(t), "g-closed"))
     return base != refined and (a in base) != (a in refined)
 
 

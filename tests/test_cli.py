@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finitetop import indiscrete
 from finitetop.census import CENSUS_FORMAT, CensusRecord, profile, record_to_obj, space_id
@@ -253,6 +254,38 @@ def test_inspect_malformed_space_exits_2(tmp_path, name):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "finitetop: error" in result.stderr
+
+
+# small integers reach the valid point counts and points
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 20)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=5)
+)
+# arbitrary JSON values, plus objects with the two space fields so the
+# validator gets past its first check
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "opens", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+_SPACE_LIKE = st.fixed_dictionaries(
+    {"n": _JSON_VALUES, "opens": st.lists(st.lists(_JSON_SCALARS, max_size=4), max_size=4)}
+)
+
+
+@given(value=_JSON_VALUES | _SPACE_LIKE)
+@settings(max_examples=100, deadline=None)
+def test_inspect_any_json_value_exits_0_or_2(tmp_path_factory, value):
+    path = tmp_path_factory.mktemp("space") / "space.json"
+    path.write_text(json.dumps(value))
+    out = path.with_suffix(".out")
+    code = main(["inspect", "--space", str(path), "--facets", "alpha", "--out", str(out)])
+    assert code in (0, 2)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_SPACES))

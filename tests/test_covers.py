@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import topologies
 from finitetop import (
     SetFamily,
+    alpha_topology,
     canonical_alpha_cover,
     check_property,
     discrete,
@@ -81,8 +82,8 @@ def test_generic_forms_agree_with_production(n):
     """The definitional search forms must reproduce the collapse theorems."""
     for t in labeled_census(n):
         families = [
-            SetFamily(n, tuple(set_class(t, "closed").members[:4])),
-            SetFamily(n, tuple(m for m in set_class(t, "semi-open").members if m)[:3]),
+            SetFamily(n, tuple(set_class(t, "closed")[:4])),
+            SetFamily(n, tuple(m for m in set_class(t, "semi-open") if m)[:3]),
             SetFamily(n, tuple(1 << x for x in range(n))),
         ]
         for fam in families:
@@ -185,6 +186,23 @@ def test_simplified_agrees_with_exhaustive(n):
             assert simplified == exhaustive, (t, cover_kind, constraint)
 
 
+@pytest.mark.parametrize(
+    "cover_kind, constraint",
+    [
+        ("open", "closed+sigma-discrete"),
+        ("alpha-open", "closed+sigma-discrete"),
+        ("alpha-open", "open+locally-finite"),
+    ],
+)
+def test_simplified_agrees_with_exhaustive_at_4_points(cover_kind, constraint):
+    for t in labeled_census(4):
+        simplified = every_cover_has_refinement(t, cover_kind, constraint)
+        exhaustive = every_cover_has_refinement(
+            t, cover_kind, constraint, mode="exhaustive"
+        )
+        assert simplified == exhaustive, t
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_per_cover_mode_agreement(n):
     for t in labeled_census(n):
@@ -264,7 +282,7 @@ def test_hausdorff_iff_discrete(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_normal_matches_literal_oracle(n):
     for t in labeled_census(n):
-        closed = set_class(t, "closed").members
+        closed = set_class(t, "closed")
         literal = all(
             any(
                 u & v == 0 and a & ~u == 0 and b & ~v == 0
@@ -278,11 +296,35 @@ def test_normal_matches_literal_oracle(n):
         assert check_property(t, "normal") == literal
 
 
+def extremally_disconnected_loop(t):
+    # the closure of every open set is open
+    return all(t.is_open(t.closure(u)) for u in t.opens)
+
+
+def normal_loop(t):
+    # disjoint closed sets have disjoint open hulls
+    closed = set_class(t, "closed")
+    return all(
+        t.open_hull(a) & t.open_hull(b) == 0
+        for a in closed
+        for b in closed
+        if a & b == 0
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_table_forms_match_open_set_loops(n):
+    for t in labeled_census(n):
+        for s in (t, alpha_topology(t)):
+            assert check_property(s, "extremally-disconnected") == (
+                extremally_disconnected_loop(s)
+            ), s
+            assert check_property(s, "normal") == normal_loop(s), s
+
+
 @given(topologies())
 @settings(max_examples=50)
 def test_nodec_iff_alpha_adds_nothing(t):
-    from finitetop import alpha_topology
-
     assert check_property(t, "nodec") == (alpha_topology(t) == t)
 
 

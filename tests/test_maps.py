@@ -9,6 +9,7 @@ from finitetop import (
     enumerate_maps,
     indiscrete,
     map_predicate,
+    set_class,
     verify_fm1,
 )
 from finitetop.census import labeled_census
@@ -76,6 +77,35 @@ def test_alpha_irresolute_two_routes():
                 )
 
 
+# the definitional loops over open and closed families
+MAP_LOOPS = {
+    "continuous": lambda f: all(
+        f.domain.is_open(f.preimage(v)) for v in f.codomain.opens
+    ),
+    "open": lambda f: all(f.codomain.is_open(f.image(u)) for u in f.domain.opens),
+    "closed": lambda f: all(
+        f.codomain.is_closed(f.image(c)) for c in set_class(f.domain, "closed")
+    ),
+    "alpha-irresolute": lambda f: all(
+        alpha_topology(f.domain).is_open(f.preimage(v))
+        for v in alpha_topology(f.codomain).opens
+    ),
+}
+
+
+def test_table_forms_match_open_set_loops():
+    """Every map between labeled spaces with at most 3 points."""
+    pool = [t for n in (1, 2, 3) for t in labeled_census(n)]
+    maps = 0
+    for dom in pool:
+        for cod in pool:
+            for f in enumerate_maps(dom, cod):
+                maps += 1
+                for kind, loop in MAP_LOOPS.items():
+                    assert map_predicate(f, kind) == loop(f), (f, kind)
+    assert maps == 24_872
+
+
 def test_fm1_verdicts(one_open_point):
     d2 = discrete(2)
     assert verify_fm1(SpaceMap(d2, d2, (0, 1))) == "holds"
@@ -102,3 +132,27 @@ def test_map_json_round_trip(one_open_point):
         map_from_json("{}")
     with pytest.raises(ValueError):
         map_from_json("not json")
+
+
+def _map_text(fn):
+    # one point into two, so that true would read as the point 1
+    domain, codomain = '{"n": 1, "opens": [[], [0]]}', '{"n": 2, "opens": [[], [0, 1]]}'
+    return f'{{"fn": {fn}, "domain": {domain}, "codomain": {codomain}}}'
+
+
+MALFORMED_MAPS = {
+    "number": "5",
+    "list": "[1, 2]",
+    "null": "null",
+    "fn-number": _map_text("0"),
+    "fn-string": _map_text('"01"'),
+    "fn-string-point": _map_text('["a"]'),
+    "fn-bool-point": _map_text("[true]"),
+    "fn-float-point": _map_text("[0.0]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MAPS))
+def test_map_from_json_rejects_malformed_shapes(name):
+    with pytest.raises(ValueError):
+        map_from_json(MALFORMED_MAPS[name])

@@ -5,9 +5,10 @@ from hypothesis import given
 
 from conftest import SIXTEEN_POINT_PRODUCTS, topologies, topology_and_subset
 from finitetop import (
+    CLASS_KINDS,
+    HULL_KINDS,
     alpha_topology,
     check_property,
-    closed_sets,
     discrete,
     hull,
     indiscrete,
@@ -23,7 +24,7 @@ from finitetop.spaces import complement, full_set
 def closure_oracle(t, a):
     """Smallest closed superset, scanning the closed family outright."""
     out = full_set(t.n)
-    for c in closed_sets(t).members:
+    for c in set_class(t, "closed"):
         if a & ~c == 0:
             out &= c
     return out
@@ -64,7 +65,7 @@ def semi_closure_oracle(t, a):
 
 def semi_interior_oracle(t, a):
     out = 0
-    for s in set_class(t, "semi-open").members:
+    for s in set_class(t, "semi-open"):
         if s & ~a == 0:
             out |= s
     return out
@@ -76,7 +77,7 @@ def g_closed_literal(t, a):
     b = complement(a, t.n)
     return all(
         c & ~t.interior(b) == 0
-        for c in closed_sets(t).members
+        for c in set_class(t, "closed")
         if c & ~b == 0
     )
 
@@ -92,6 +93,19 @@ def g_alpha_closed_literal(t, alpha_opens, a):
     return all(cla & ~u == 0 for u in alpha_opens if a & ~u == 0)
 
 
+def semi_open_scan(t):
+    return tuple(u for u in range(1 << t.n) if u & ~t.closure(t.interior(u)) == 0)
+
+
+def sg_closed_containment(t, a, semi_opens=None):
+    # the definition: every semi-open superset, from the formula scan,
+    # absorbs the semi-closure a ∪ int(cl a)
+    if semi_opens is None:
+        semi_opens = semi_open_scan(t)
+    scl = a | t.interior(t.closure(a))
+    return all(scl & ~u == 0 for u in semi_opens if a & ~u == 0)
+
+
 def sg_closed_literal(t, a):
     # complement of the literal sg-open form, with the semi-interior taken
     # as the union of semi-open subsets (the independent route)
@@ -102,6 +116,25 @@ def sg_closed_literal(t, a):
         for c in range(1 << t.n)
         if semi_closed_literal(t, c) and c & ~b == 0
     )
+
+
+# the literal formula of each dual kind: the three stated outright, the
+# others as the partner kind's formula on the complement
+def _on_complement(formula):
+    return lambda t, a: formula(t, complement(a, t.n))
+
+
+DUAL_LITERALS = {
+    "closed": lambda t, a: t.is_closed(a),
+    "regular-closed": lambda t, a: a == t.closure(t.interior(a)),
+    "codense": lambda t, a: t.interior(a) == 0,
+    "semi-closed": _on_complement(lambda t, b: b & ~t.closure(t.interior(b)) == 0),
+    "alpha-closed": _on_complement(
+        lambda t, b: b & ~t.interior(t.closure(t.interior(b))) == 0
+    ),
+    "g-open": _on_complement(lambda t, b: t.closure(b) & ~t.open_hull(b) == 0),
+    "sg-open": _on_complement(sg_closed_containment),
+}
 
 
 # --- hulls ------------------------------------------------------------------------
@@ -223,26 +256,26 @@ def test_regular_closed_example(one_open_point):
 
 
 def test_set_class_examples(one_open_point):
-    assert set_class(one_open_point, "semi-open").members == (0, 0b001, 0b011, 0b101, 0b111)
-    assert set_class(one_open_point, "regular-closed").members == (0, 0b111)
-    assert closed_sets(one_open_point).members == (0, 0b110, 0b111)
+    assert set_class(one_open_point, "semi-open") == (0, 0b001, 0b011, 0b101, 0b111)
+    assert set_class(one_open_point, "regular-closed") == (0, 0b111)
+    assert set_class(one_open_point, "closed") == (0, 0b110, 0b111)
 
 
 def test_discrete_classes_are_powerset():
     d = discrete(3)
     for kind in ("open", "closed", "semi-open", "g-closed", "sg-closed", "clopen"):
-        assert set_class(d, kind).members == tuple(range(8))
+        assert set_class(d, kind) == tuple(range(8))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_open_and_closed_classes_match_formula_scan(n):
     for t in labeled_census(n):
         for kind in ("open", "closed"):
-            assert set_class(t, kind).members == class_scan(t, kind)
+            assert set_class(t, kind) == class_scan(t, kind)
 
 
 def test_indiscrete_closed_sets():
-    assert closed_sets(indiscrete(2)).members == (0, 0b11)
+    assert set_class(indiscrete(2), "closed") == (0, 0b11)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -259,6 +292,42 @@ def test_literal_forms_agree_exhaustively(n):
             assert is_in_class(t, a, "g-open") == is_in_class(
                 t, complement(a, n), "g-closed"
             )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dual_classes_match_literal_formulas(n):
+    """Each dual class, built from its partner's complements, against a scan."""
+    for t in labeled_census(n):
+        for kind, literal in DUAL_LITERALS.items():
+            scan = tuple(a for a in range(1 << n) if literal(t, a))
+            assert set_class(t, kind) == scan, (t, kind)
+            assert all(is_in_class(t, a, kind) == (a in scan) for a in range(1 << n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sg_closed_closed_form_matches_definition(n):
+    # the closed form against the semi-open supersets, in T and in T^α
+    for t in labeled_census(n):
+        for s in (t, alpha_topology(t)):
+            semi_opens = semi_open_scan(s)
+            expected = tuple(
+                a for a in range(1 << n) if sg_closed_containment(s, a, semi_opens)
+            )
+            assert set_class(s, "sg-closed") == expected, s
+
+
+def test_kind_lists_come_from_the_tables():
+    # each primal kind followed by its dual, as the lists were written out
+    assert CLASS_KINDS == (
+        "open", "closed", "semi-open", "semi-closed", "regular-open",
+        "regular-closed", "alpha-open", "alpha-closed", "preopen", "beta-open",
+        "nowhere-dense", "dense", "codense", "clopen", "g-closed", "g-open",
+        "sg-closed", "sg-open", "g-alpha-closed", "f-sigma-g-alpha-closed",
+    )
+    assert HULL_KINDS == (
+        "closure", "interior", "semi-closure", "alpha-closure",
+        "alpha-semi-closure", "semi-interior",
+    )
 
 
 @given(topology_and_subset())
@@ -281,7 +350,7 @@ def test_complement_duality(ta):
 def test_f_sigma_union_semantics(ta):
     # pointwise witnesses are exactly "union of g-alpha-closed subsets"
     t, a = ta
-    members = [c for c in set_class(t, "g-alpha-closed").members if c & ~a == 0]
+    members = [c for c in set_class(t, "g-alpha-closed") if c & ~a == 0]
     union = 0
     for c in members:
         union |= c
