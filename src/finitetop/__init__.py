@@ -28,22 +28,17 @@ from .operators import (
 )
 from .covers import (
     CONSTRAINTS,
-    FAMILY_PREDICATES,
     PROPERTY_TAGS,
     SetFamily,
-    canonical_alpha_cover,
     check_property,
     every_cover_has_refinement,
-    family_predicate,
     has_refinement,
     property_reason,
-    refines,
 )
 from .maps import MAP_KINDS, SpaceMap, enumerate_maps, map_predicate, verify_fm1
 from .census import (
     CensusRecord,
     PropertyProfile,
-    count_topologies_direct,
     enumerate_topologies,
     profile,
     read_census,

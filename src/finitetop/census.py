@@ -4,8 +4,8 @@ The production route enumerates reflexive transitive relations by
 backtracking over per-point up-set masks (pairwise row containment checks
 are exactly transitivity) and maps each relation to its topology of
 upward-closed sets.  The far slower direct route — filtering every family
-of subsets for closure under union and intersection — is kept as the
-independent oracle that certifies the counts at small n.
+of subsets for closure under union and intersection — is the test suite's
+independent oracle for the counts at small n (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -14,14 +14,12 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, TextIO
 
 from .spaces import (
     Topology,
     _is_int,
     from_preorder,
-    full_set,
     homeo_invariant,
     is_homeomorphic,
     iter_points,
@@ -185,22 +183,6 @@ def labeled_census(n: int) -> tuple[Topology, ...]:
 @lru_cache(maxsize=None)
 def homeo_census(n: int) -> tuple[Topology, ...]:
     return tuple(enumerate_topologies(n, up_to_homeo=True))
-
-
-def count_topologies_direct(n: int) -> int:
-    """Independent oracle: filter every subset family for closure under
-    union/intersection.  Doubly exponential; meant for n <= 4."""
-    full = full_set(n)
-    proper = list(range(1, full))
-    count = 0
-    for r in range(len(proper) + 1):
-        for chosen in combinations(proper, r):
-            fam = set(chosen)
-            fam.add(0)
-            fam.add(full)
-            if all((a | b) in fam and (a & b) in fam for a in fam for b in fam):
-                count += 1
-    return count
 
 
 def census_records(n: int, up_to_homeo: bool = False) -> Iterator[CensusRecord]:

@@ -1,0 +1,243 @@
+"""Definitional oracles for the covering machinery in finitetop.covers.
+
+Production decides refinements by finite-space reductions: one minimal
+cover stands in for every cover of a point-intersection-closed class, the
+structural side conditions hold for every finite family, and a refinement
+exists iff the union of the fitting class members covers.  The oracles here
+use none of those reductions.  They search every irredundant cover and
+every candidate subfamily outright, and decide the sigma variants of the
+structural predicates by set-partition search, so agreement with
+production is evidence for the reductions rather than a restatement of
+them.  The topology count by filtering every subset family lives here too.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Iterator
+
+from finitetop import SetFamily, Topology, set_class
+from finitetop.covers import CONSTRAINTS
+from finitetop.spaces import full_set
+
+FAMILY_PREDICATES = (
+    "discrete",
+    "sigma-discrete",
+    "locally-finite",
+    "locally-countable",
+    "closure-preserving",
+    "sigma-closure-preserving",
+)
+
+# constraint tag -> structural predicates its refinements must satisfy
+CONSTRAINT_PREDICATES = {
+    "closed+sigma-discrete": ("sigma-discrete",),
+    "open+locally-finite": ("locally-finite",),
+    "closed+sigma-closure-preserving": ("sigma-closure-preserving",),
+    "semi-open+locally-finite+dense-union": ("locally-finite",),
+    "regular-closed+locally-finite": ("locally-finite",),
+    "regular-closed+locally-countable": ("locally-countable",),
+}
+
+
+def refines(f: SetFamily, g: SetFamily) -> bool:
+    """True iff every member of f lies inside some member of g."""
+    if f.n != g.n:
+        raise ValueError("families live on different point counts")
+    return all(any(a & ~b == 0 for b in g.members) for a in f.members)
+
+
+# --- structural predicates ---------------------------------------------------
+
+def family_predicate(t: Topology, f: SetFamily, pred: str) -> bool:
+    """The finite-space collapse of each structural family predicate.
+
+    discrete is computed outright; the remaining predicates collapse on
+    finite families (closure is finitely additive, singleton partitions
+    witness the sigma variants, and every neighborhood meets only finitely
+    many members) and return True by those theorems.
+    """
+    if t.n != f.n:
+        raise ValueError("family and space have different point counts")
+    if pred == "discrete":
+        # the minimal neighborhood meets the fewest members of any
+        # neighborhood of x, so it is the optimal witness
+        return all(
+            sum(1 for m in f.members if m & t.min_nbhd[x]) <= 1 for x in range(t.n)
+        )
+    if pred in FAMILY_PREDICATES:
+        return True
+    raise ValueError(f"unknown family predicate {pred!r}")
+
+
+def family_predicate_generic(t: Topology, f: SetFamily, pred: str) -> bool:
+    """Definitional search forms of the structural predicates.
+
+    The sigma variants run a genuine set-partition search, and the local
+    predicates quantify over all open neighborhoods.
+    """
+    if t.n != f.n:
+        raise ValueError("family and space have different point counts")
+    if pred == "discrete":
+        return all(
+            any(
+                u >> x & 1 and sum(1 for m in f.members if m & u) <= 1
+                for u in t.opens
+            )
+            for x in range(t.n)
+        )
+    if pred == "sigma-discrete":
+        return _partition_search(t, f, "discrete")
+    if pred in ("locally-finite", "locally-countable"):
+        # a neighborhood meets at most len(f) members, which is finite;
+        # the quantifier over neighborhoods still has to be nonempty
+        return all(any(u >> x & 1 for u in t.opens) for x in range(t.n))
+    if pred == "closure-preserving":
+        return _closure_preserving_exact(t, f.members)
+    if pred == "sigma-closure-preserving":
+        return _partition_search(t, f, "closure-preserving")
+    raise ValueError(f"unknown family predicate {pred!r}")
+
+
+def _partition_search(t: Topology, f: SetFamily, part_pred: str) -> bool:
+    if not f.members:
+        return True
+    return any(
+        all(
+            family_predicate_generic(
+                t, SetFamily(f.n, tuple(f.members[i] for i in block)), part_pred
+            )
+            for block in blocks
+        )
+        for blocks in _set_partitions(len(f.members))
+    )
+
+
+def _set_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All partitions of range(k) into nonempty blocks, deterministic order.
+
+    Finer partitions come first (the all-singletons partition is emitted
+    before any merged one), which keeps the sigma-predicate searches cheap
+    on families where fine partitions succeed.
+    """
+    if k == 0:
+        yield ()
+        return
+
+    def rec(i: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if i == k:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        blocks.append([i])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+
+    yield from rec(1, [[0]])
+
+
+def _closure_preserving_exact(t: Topology, members: tuple[int, ...]) -> bool:
+    closures = [t.closure(m) for m in members]
+    k = len(members)
+    for pick in range(1 << k):
+        union = 0
+        cl_union = 0
+        for i in range(k):
+            if pick >> i & 1:
+                union |= members[i]
+                cl_union |= closures[i]
+        if t.closure(union) != cl_union:
+            return False
+    return True
+
+
+# --- exhaustive refinement search --------------------------------------------
+
+def has_refinement_exhaustive(
+    t: Topology, cover: SetFamily, constraint: str, want_witness: bool = False
+):
+    """finitetop.covers.has_refinement by search over candidate subfamilies,
+    with the structural predicates in their definitional forms."""
+    class_kind, dense = CONSTRAINTS[constraint]
+    preds = CONSTRAINT_PREDICATES[constraint]
+    candidates = tuple(
+        c
+        for c in set_class(t, class_kind)
+        if c != 0 and any(c & ~u == 0 for u in cover.members)
+    )
+    ok, witness = _refine_exhaustive(t, candidates, preds, dense)
+    if want_witness:
+        return ok, witness
+    return ok
+
+
+def _refine_exhaustive(t, candidates, preds, dense):
+    full = full_set(t.n)
+    k = len(candidates)
+    for pick in range(1, 1 << k):
+        members = tuple(candidates[i] for i in range(k) if pick >> i & 1)
+        union = 0
+        for m in members:
+            union |= m
+        if (t.closure(union) if dense else union) != full:
+            continue
+        fam = SetFamily(t.n, members, label="refinement-witness")
+        if all(family_predicate_generic(t, fam, p) for p in preds):
+            return True, fam
+    return False, None
+
+
+def every_cover_has_refinement_exhaustive(
+    t: Topology, cover_kind: str, constraint: str
+) -> bool:
+    """finitetop.covers.every_cover_has_refinement over every irredundant cover."""
+    return all(
+        has_refinement_exhaustive(t, cover, constraint)
+        for cover in irredundant_covers(t, cover_kind)
+    )
+
+
+def irredundant_covers(t: Topology, kind: str) -> Iterator[SetFamily]:
+    """All covers by nonempty class members with no member inside the others' union."""
+    members = [m for m in set_class(t, kind) if m != 0]
+    full = full_set(t.n)
+    k = len(members)
+    for pick in range(1, 1 << k):
+        chosen = [members[i] for i in range(k) if pick >> i & 1]
+        union = 0
+        for m in chosen:
+            union |= m
+        if union != full:
+            continue
+        if any(m & ~_union_without(chosen, i) == 0 for i, m in enumerate(chosen)):
+            continue
+        yield SetFamily(t.n, tuple(chosen), label=f"{kind}-cover")
+
+
+def _union_without(chosen: list[int], skip: int) -> int:
+    out = 0
+    for i, m in enumerate(chosen):
+        if i != skip:
+            out |= m
+    return out
+
+
+# --- census ------------------------------------------------------------------
+
+def count_topologies_direct(n: int) -> int:
+    """Filter every subset family for closure under union/intersection.
+    Doubly exponential; meant for n <= 4."""
+    full = full_set(n)
+    proper = list(range(1, full))
+    count = 0
+    for r in range(len(proper) + 1):
+        for chosen in combinations(proper, r):
+            fam = set(chosen)
+            fam.add(0)
+            fam.add(full)
+            if all((a | b) in fam and (a & b) in fam for a in fam for b in fam):
+                count += 1
+    return count

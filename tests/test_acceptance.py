@@ -11,7 +11,6 @@ import time
 
 from finitetop import (
     build_topology,
-    canonical_alpha_cover,
     has_refinement,
     profile,
     read_census,
@@ -19,14 +18,15 @@ from finitetop import (
     search,
     write_census,
 )
-from finitetop.census import (
-    census_records,
-    count_topologies_direct,
-    homeo_census,
-    labeled_census,
-)
-from finitetop.covers import CONSTRAINTS, every_cover_has_refinement, irredundant_covers
+from finitetop.census import census_records, homeo_census, labeled_census
+from finitetop.covers import CONSTRAINTS, canonical_cover, every_cover_has_refinement
 from finitetop.verifier import search_counts, witness_to_obj
+from oracles import (
+    count_topologies_direct,
+    every_cover_has_refinement_exhaustive,
+    has_refinement_exhaustive,
+    irredundant_covers,
+)
 
 ONE_OPEN_POINT = build_topology(3, [0b001])
 
@@ -87,8 +87,8 @@ def report_gc_mismatch_search():
 
 def report_e31_analog_profile():
     prof = profile(ONE_OPEN_POINT)
-    certified = has_refinement(
-        ONE_OPEN_POINT, canonical_alpha_cover(ONE_OPEN_POINT), "closed+sigma-discrete", mode="exhaustive"
+    certified = has_refinement_exhaustive(
+        ONE_OPEN_POINT, canonical_cover(ONE_OPEN_POINT, "alpha-open"), "closed+sigma-discrete"
     )
     return (
         f"compact={prof.properties['compact']} "
@@ -102,13 +102,13 @@ def report_mode_agreement():
     for t in labeled_census(3):
         for cover_kind, constraint in MODE_PAIRS:
             s = every_cover_has_refinement(t, cover_kind, constraint)
-            e = every_cover_has_refinement(t, cover_kind, constraint, mode="exhaustive")
+            e = every_cover_has_refinement_exhaustive(t, cover_kind, constraint)
             lines.append(f"{cover_kind}/{constraint}: {s} {e}")
             assert s == e, (t, cover_kind, constraint)
         for cover in irredundant_covers(t, "alpha-open"):
             for constraint in CONSTRAINTS:
                 s = has_refinement(t, cover, constraint)
-                e = has_refinement(t, cover, constraint, mode="exhaustive")
+                e = has_refinement_exhaustive(t, cover, constraint)
                 assert s == e, (t, cover.members, constraint)
     return "\n".join(lines)
 
@@ -201,11 +201,10 @@ def test_criterion_3_compact_not_alpha_subparacompact():
     prof = profile(ONE_OPEN_POINT)
     assert prof.properties["compact"] is True
     assert prof.properties["alpha-subparacompact"] is False
-    ok, witness = has_refinement(
+    ok, witness = has_refinement_exhaustive(
         ONE_OPEN_POINT,
-        canonical_alpha_cover(ONE_OPEN_POINT),
+        canonical_cover(ONE_OPEN_POINT, "alpha-open"),
         "closed+sigma-discrete",
-        mode="exhaustive",
         want_witness=True,
     )
     assert ok is False and witness is None, "exhaustive search found a refinement"

@@ -33,8 +33,10 @@ def object_text(fields):
 
 
 # SHA-256 of stdout as the definitional 2^n scans printed it (commit 5111cc0;
-# the homeomorphism census and the g-closed search at commit bca6d73);
-# census files, space ids and report text stay byte-identical
+# the homeomorphism census and the g-closed search at commit bca6d73; the
+# 3-point verify, whose lemma-lfm1 suite ran the exhaustive refinement search,
+# and the compact-not-alpha-subparacompact search at commit 709e3b0); census
+# files, space ids and report text stay byte-identical
 PINNED_STDOUT_SHA256 = {
     "census --n 4": "e32541eee516ae3900ede709dd60c8f8ade0f2b2617885bde3650328ca3d8fcd",
     "census --n 5 --up-to-homeo": (
@@ -46,6 +48,10 @@ PINNED_STDOUT_SHA256 = {
     "verify --n 4 --suite all": "bfbdef6fb05078d46e34276745a236dc98b8fcd52471b3d576f32f75f2e15594",
     "search --predicate question1-witness --max-n 3": (
         "58d58d1922fed8df6f54e5067b389ba2efcaa14b1a1815d3fe9085f039cba61a"
+    ),
+    "verify --n 3 --suite all": "d679cfd56c75497567ef17aa0a19c0011e93f204f3315713045c4d0cb34e60fc",
+    "search --predicate compact-not-alpha-subparacompact --max-n 4": (
+        "3a8b3799e9fe97c936e8e46a10f0fdc3e4fdc3107d4b82e387af543ed809a74a"
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Family predicates, refinement search modes, and covering properties."""
+"""Family predicates, the refinement search against its oracle, and covering properties."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,27 +7,26 @@ from conftest import topologies
 from finitetop import (
     SetFamily,
     alpha_topology,
-    canonical_alpha_cover,
     check_property,
     discrete,
     every_cover_has_refinement,
-    family_predicate,
     has_refinement,
     indiscrete,
     property_reason,
-    refines,
     set_class,
 )
 from finitetop.census import labeled_census
-from finitetop.covers import (
-    CONSTRAINTS,
-    PROPERTY_TAGS,
-    canonical_cover,
-    covers_space,
-    family_predicate_generic,
-    irredundant_covers,
-)
+from finitetop.covers import CONSTRAINTS, PROPERTY_TAGS, canonical_cover, covers_space
 from finitetop.spaces import full_set
+from oracles import (
+    CONSTRAINT_PREDICATES,
+    every_cover_has_refinement_exhaustive,
+    family_predicate,
+    family_predicate_generic,
+    has_refinement_exhaustive,
+    irredundant_covers,
+    refines,
+)
 
 # natural cover class for each refinement constraint
 MODE_PAIRS = [
@@ -55,7 +54,6 @@ def test_refines_basics(one_open_point):
 def test_family_rejects_duplicates():
     with pytest.raises(ValueError):
         SetFamily(2, (1, 1))
-    assert SetFamily(2, (1, 1), duplicates_ok=True).members == (1, 1)
 
 
 # --- structural predicates --------------------------------------------------------
@@ -108,15 +106,15 @@ def test_family_predicate_unknown(one_open_point):
 # --- canonical covers ---------------------------------------------------------------
 
 def test_canonical_alpha_cover_examples(one_open_point):
-    assert canonical_alpha_cover(one_open_point).members == (0b001, 0b011, 0b101)
-    assert canonical_alpha_cover(discrete(3)).members == (1, 2, 4)
-    assert canonical_alpha_cover(indiscrete(2)).members == (0b11,)
+    assert canonical_cover(one_open_point, "alpha-open").members == (0b001, 0b011, 0b101)
+    assert canonical_cover(discrete(3), "alpha-open").members == (1, 2, 4)
+    assert canonical_cover(indiscrete(2), "alpha-open").members == (0b11,)
 
 
 @given(topologies(max_n=3))
 @settings(max_examples=40)
 def test_canonical_alpha_cover_refines_every_alpha_cover(t):
-    canonical = canonical_alpha_cover(t)
+    canonical = canonical_cover(t, "alpha-open")
     assert covers_space(t, canonical)
     alpha = set_class(t, "alpha-open")
     assert all(m in alpha for m in canonical.members)
@@ -132,27 +130,27 @@ def test_canonical_cover_unknown_kind(one_open_point):
 # --- has_refinement -------------------------------------------------------------------
 
 def test_sigma_discrete_closed_refinement_fails(one_open_point):
-    cover = canonical_alpha_cover(one_open_point)
+    cover = canonical_cover(one_open_point, "alpha-open")
     assert not has_refinement(one_open_point, cover, "closed+sigma-discrete")
-    assert not has_refinement(one_open_point, cover, "closed+sigma-discrete", mode="exhaustive")
+    assert not has_refinement_exhaustive(one_open_point, cover, "closed+sigma-discrete")
 
 
 def test_open_locally_finite_refinement_fails(one_open_point):
-    cover = canonical_alpha_cover(one_open_point)
+    cover = canonical_cover(one_open_point, "alpha-open")
     assert not has_refinement(one_open_point, cover, "open+locally-finite")
 
 
 def test_discrete_space_refines_everything():
     d = discrete(3)
-    cover = canonical_alpha_cover(d)
+    cover = canonical_cover(d, "alpha-open")
     for constraint in CONSTRAINTS:
         assert has_refinement(d, cover, constraint)
 
 
 def test_refinement_witness_is_valid(one_open_point):
     d = discrete(3)
-    cover = canonical_alpha_cover(d)
-    for constraint, (class_kind, preds, dense) in CONSTRAINTS.items():
+    cover = canonical_cover(d, "alpha-open")
+    for constraint, (class_kind, dense) in CONSTRAINTS.items():
         ok, witness = has_refinement(d, cover, constraint, want_witness=True)
         assert ok
         assert refines(witness, cover)
@@ -162,7 +160,7 @@ def test_refinement_witness_is_valid(one_open_point):
             assert d.closure(witness.union()) == full_set(3)
         else:
             assert witness.union() == full_set(3)
-        for pred in preds:
+        for pred in CONSTRAINT_PREDICATES[constraint]:
             assert family_predicate_generic(d, witness, pred)
 
 
@@ -170,7 +168,9 @@ def test_has_refinement_rejects_non_cover(one_open_point):
     with pytest.raises(ValueError):
         has_refinement(one_open_point, SetFamily(3, (0b001,)), "closed+sigma-discrete")
     with pytest.raises(ValueError):
-        has_refinement(one_open_point, canonical_alpha_cover(one_open_point), "open+compact")
+        has_refinement(
+            one_open_point, canonical_cover(one_open_point, "alpha-open"), "open+compact"
+        )
 
 
 # --- mode agreement --------------------------------------------------------------------
@@ -180,9 +180,7 @@ def test_simplified_agrees_with_exhaustive(n):
     for t in labeled_census(n):
         for cover_kind, constraint in MODE_PAIRS:
             simplified = every_cover_has_refinement(t, cover_kind, constraint)
-            exhaustive = every_cover_has_refinement(
-                t, cover_kind, constraint, mode="exhaustive"
-            )
+            exhaustive = every_cover_has_refinement_exhaustive(t, cover_kind, constraint)
             assert simplified == exhaustive, (t, cover_kind, constraint)
 
 
@@ -197,9 +195,7 @@ def test_simplified_agrees_with_exhaustive(n):
 def test_simplified_agrees_with_exhaustive_at_4_points(cover_kind, constraint):
     for t in labeled_census(4):
         simplified = every_cover_has_refinement(t, cover_kind, constraint)
-        exhaustive = every_cover_has_refinement(
-            t, cover_kind, constraint, mode="exhaustive"
-        )
+        exhaustive = every_cover_has_refinement_exhaustive(t, cover_kind, constraint)
         assert simplified == exhaustive, t
 
 
@@ -208,9 +204,28 @@ def test_per_cover_mode_agreement(n):
     for t in labeled_census(n):
         for cover in irredundant_covers(t, "alpha-open"):
             for constraint in CONSTRAINTS:
-                assert has_refinement(t, cover, constraint) == has_refinement(
-                    t, cover, constraint, mode="exhaustive"
+                assert has_refinement(t, cover, constraint) == has_refinement_exhaustive(
+                    t, cover, constraint
                 )
+
+
+def test_lemma_lfm1_sides_agree_with_oracle():
+    """With alpha-open covers, a sigma-discrete closed refinement exists iff a
+    sigma-closure-preserving one does; production decides both sides alike."""
+    verdicts = set()
+    for n in (1, 2, 3):
+        for t in labeled_census(n):
+            by_discrete = every_cover_has_refinement_exhaustive(
+                t, "alpha-open", "closed+sigma-discrete"
+            )
+            by_closure = every_cover_has_refinement_exhaustive(
+                t, "alpha-open", "closed+sigma-closure-preserving"
+            )
+            for constraint in ("closed+sigma-discrete", "closed+sigma-closure-preserving"):
+                production = every_cover_has_refinement(t, "alpha-open", constraint)
+                assert by_discrete == by_closure == production, (t, constraint)
+            verdicts.add(by_discrete)
+    assert verdicts == {True, False}
 
 
 # --- check_property ------------------------------------------------------------------------
