@@ -6,11 +6,9 @@ from .spaces import (
     build_topology,
     complement,
     discrete,
-    find_homeomorphism,
     from_preorder,
     full_set,
     indiscrete,
-    is_homeomorphic,
     mask_of,
     minimal_nbhd,
     product,

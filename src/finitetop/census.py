@@ -3,7 +3,8 @@
 The production route enumerates reflexive transitive relations by
 backtracking over per-point up-set masks (pairwise row containment checks
 are exactly transitivity) and maps each relation to its topology of
-upward-closed sets.  The far slower direct route — filtering every family
+upward-closed sets; the census up to homeomorphism keeps the first space
+of each canonical form.  The far slower direct route — filtering every family
 of subsets for closure under union and intersection — is the test suite's
 independent oracle for the counts at small n (tests/oracles.py).
 """
@@ -14,14 +15,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations, product
 from typing import Iterable, Iterator, TextIO
 
 from .spaces import (
     Topology,
+    _down_sets,
     _is_int,
     from_preorder,
-    homeo_invariant,
-    is_homeomorphic,
     iter_points,
     parse_json,
     space_from_obj,
@@ -154,8 +155,8 @@ def enumerate_topologies(n: int, up_to_homeo: bool = False) -> Iterator[Topology
     """Every topology on n labeled points exactly once, deterministic order.
 
     With up_to_homeo the stream keeps the first representative of each
-    homeomorphism class, filtering by backtracking isomorphism against the
-    retained representatives (bucketed by cheap invariants).
+    homeomorphism class: a space is kept the first time its canonical form
+    is seen.
     """
     cap = MAX_HOMEO_N if up_to_homeo else MAX_LABELED_N
     if not 1 <= n <= cap:
@@ -163,16 +164,43 @@ def enumerate_topologies(n: int, up_to_homeo: bool = False) -> Iterator[Topology
     stream = (from_preorder(r) for r in enumerate_preorders(n))
     if not up_to_homeo:
         return stream
-    return _dedup_by_homeomorphism(stream)
+    return _first_of_each_form(stream)
 
 
-def _dedup_by_homeomorphism(stream: Iterator[Topology]) -> Iterator[Topology]:
-    buckets: dict[tuple, list[Topology]] = {}
+def _first_of_each_form(stream: Iterator[Topology]) -> Iterator[Topology]:
+    seen: set[tuple[int, ...]] = set()
     for t in stream:
-        reps = buckets.setdefault(homeo_invariant(t), [])
-        if not any(is_homeomorphic(t, rep) for rep in reps):
-            reps.append(t)
+        form = canonical_form(t)
+        if form not in seen:
+            seen.add(form)
             yield t
+
+
+def canonical_form(t: Topology) -> tuple[int, ...]:
+    """The least relabelled min_nbhd table among the cell-respecting relabellings.
+
+    Points are grouped into cells by their (up-set size, down-set size) pair
+    and the cells are laid out in the order of that pair; every relabelling
+    that permutes points within their cells is tried.  A homeomorphism keeps
+    both sizes, so homeomorphic spaces reach the same set of tables, and two
+    spaces with the same form are homeomorphic to it: the form is a complete
+    key.  The cost is the product of the cell sizes' factorials, at most
+    720 relabellings for n <= MAX_HOMEO_N.
+    """
+    nbhd = t.min_nbhd
+    cells: dict[tuple[int, int], list[int]] = {}
+    for x, (up, down) in enumerate(zip(nbhd, _down_sets(nbhd))):
+        cells.setdefault((up.bit_count(), down.bit_count()), []).append(x)
+    best = None
+    for blocks in product(*(permutations(cells[key]) for key in sorted(cells))):
+        order = [x for block in blocks for x in block]
+        image = [0] * t.n
+        for position, x in enumerate(order):
+            image[x] = position
+        form = tuple(sum(1 << image[y] for y in iter_points(nbhd[x])) for x in order)
+        if best is None or form < best:
+            best = form
+    return best
 
 
 @lru_cache(maxsize=None)

@@ -113,6 +113,8 @@ def _cmd_verify(args, out: TextIO) -> int:
         suites = verifier.SUITE_TAGS
     else:
         suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
+        if not suites:
+            raise ValueError("no suites given")
         unknown = [s for s in suites if s not in verifier.SUITE_TAGS]
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(unknown)}")
@@ -160,6 +162,8 @@ def _cmd_inspect(args, out: TextIO) -> int:
     with open(args.space, "r", encoding="utf-8") as fh:
         t = load_space(fh, complete=args.complete)
     facets = tuple(f.strip() for f in args.facets.split(",") if f.strip())
+    if not facets:
+        raise ValueError("no facets given")
     known = set(PROPERTY_TAGS) | set(CLASS_KINDS) | set(EXTRA_FACETS)
     unknown = [f for f in facets if f not in known]
     if unknown:

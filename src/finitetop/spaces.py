@@ -14,7 +14,7 @@ scans at most 65536 masks.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, TextIO
 
 MAX_POINTS = 16
 
@@ -281,73 +281,6 @@ def from_preorder(rows: tuple[int, ...]) -> Topology:
     t = object.__new__(Topology)
     t.n, t.min_nbhd, t._opens, t._hash = n, rows, None, hash(rows)
     return t
-
-
-def find_homeomorphism(t1: Topology, t2: Topology) -> Optional[tuple[int, ...]]:
-    """A point bijection carrying opens onto opens, or None.
-
-    Backtracking over the specialization preorders, pruned by the per-point
-    (up-set, down-set) size signatures.  Callers sorting many spaces bucket
-    them by homeo_invariant first.
-    """
-    if t1.n != t2.n:
-        raise ValueError("spaces must have the same number of points")
-    n = t1.n
-    up1, up2 = t1.min_nbhd, t2.min_nbhd
-    sig1, sig2 = _point_signatures(t1), _point_signatures(t2)
-    if sorted(sig1) != sorted(sig2):
-        return None
-
-    image = [-1] * n
-    used = 0
-
-    def extend(x: int) -> bool:
-        nonlocal used
-        if x == n:
-            return True
-        for y in range(n):
-            if used >> y & 1 or sig1[x] != sig2[y]:
-                continue
-            ok = True
-            for a in range(x):
-                b = image[a]
-                if (up1[a] >> x & 1) != (up2[b] >> y & 1) or (
-                    up1[x] >> a & 1
-                ) != (up2[y] >> b & 1):
-                    ok = False
-                    break
-            if ok:
-                image[x] = y
-                used |= 1 << y
-                if extend(x + 1):
-                    return True
-                used &= ~(1 << y)
-        return False
-
-    if not extend(0):
-        return None
-    fn = tuple(image)
-    # preorder isomorphisms are exactly the homeomorphisms; keep the
-    # opens-onto-opens contract checked anyway
-    mapped = {sum(1 << fn[p] for p in iter_points(u)) for u in t1.opens}
-    if mapped != set(t2.opens):
-        raise RuntimeError("homeomorphism witness failed the open-set check")
-    return fn
-
-
-def homeo_invariant(t: Topology) -> tuple:
-    """Equal on homeomorphic spaces: the open-size multiset (so the open
-    count) and the multiset of per-point (up-set, down-set) sizes."""
-    return tuple(sorted(a.bit_count() for a in t.opens)), tuple(sorted(_point_signatures(t)))
-
-
-def _point_signatures(t: Topology) -> list[tuple[int, int]]:
-    down = _down_sets(t.min_nbhd)
-    return [(up.bit_count(), d.bit_count()) for up, d in zip(t.min_nbhd, down)]
-
-
-def is_homeomorphic(t1: Topology, t2: Topology) -> bool:
-    return find_homeomorphism(t1, t2) is not None
 
 
 # --- structured text format -------------------------------------------------

@@ -8,17 +8,19 @@ use none of those reductions.  They search every irredundant cover and
 every candidate subfamily outright, and decide the sigma variants of the
 structural predicates by set-partition search, so agreement with
 production is evidence for the reductions rather than a restatement of
-them.  The topology count by filtering every subset family lives here too.
+them.  The topology count by filtering every subset family lives here too,
+and so does the backtracking homeomorphism search (find_homeomorphism,
+is_homeomorphic) that judges the census's canonical-form dedup.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Optional
 
 from finitetop import SetFamily, Topology, set_class
 from finitetop.covers import CONSTRAINTS
-from finitetop.spaces import full_set
+from finitetop.spaces import full_set, iter_points
 
 FAMILY_PREDICATES = (
     "discrete",
@@ -225,7 +227,7 @@ def _union_without(chosen: list[int], skip: int) -> int:
     return out
 
 
-# --- census ------------------------------------------------------------------
+# --- census and homeomorphism ------------------------------------------------
 
 def count_topologies_direct(n: int) -> int:
     """Filter every subset family for closure under union/intersection.
@@ -241,3 +243,67 @@ def count_topologies_direct(n: int) -> int:
             if all((a | b) in fam and (a & b) in fam for a in fam for b in fam):
                 count += 1
     return count
+
+
+def find_homeomorphism(t1: Topology, t2: Topology) -> Optional[tuple[int, ...]]:
+    """A point bijection carrying opens onto opens, or None.
+
+    Backtracking over the specialization preorders, pruned by the per-point
+    (up-set, down-set) size signatures.
+    """
+    if t1.n != t2.n:
+        raise ValueError("spaces must have the same number of points")
+    n = t1.n
+    up1, up2 = t1.min_nbhd, t2.min_nbhd
+    sig1, sig2 = _point_signatures(t1), _point_signatures(t2)
+    if sorted(sig1) != sorted(sig2):
+        return None
+
+    image = [-1] * n
+    used = 0
+
+    def extend(x: int) -> bool:
+        nonlocal used
+        if x == n:
+            return True
+        for y in range(n):
+            if used >> y & 1 or sig1[x] != sig2[y]:
+                continue
+            ok = True
+            for a in range(x):
+                b = image[a]
+                if (up1[a] >> x & 1) != (up2[b] >> y & 1) or (
+                    up1[x] >> a & 1
+                ) != (up2[y] >> b & 1):
+                    ok = False
+                    break
+            if ok:
+                image[x] = y
+                used |= 1 << y
+                if extend(x + 1):
+                    return True
+                used &= ~(1 << y)
+        return False
+
+    if not extend(0):
+        return None
+    fn = tuple(image)
+    # preorder isomorphisms are exactly the homeomorphisms; keep the
+    # opens-onto-opens contract checked anyway
+    mapped = {sum(1 << fn[p] for p in iter_points(u)) for u in t1.opens}
+    if mapped != set(t2.opens):
+        raise RuntimeError("homeomorphism witness failed the open-set check")
+    return fn
+
+
+def _point_signatures(t: Topology) -> list[tuple[int, int]]:
+    # (up-set size, down-set size) per point, read off the table directly
+    nbhd = t.min_nbhd
+    return [
+        (up.bit_count(), sum(row >> x & 1 for row in nbhd))
+        for x, up in enumerate(nbhd)
+    ]
+
+
+def is_homeomorphic(t1: Topology, t2: Topology) -> bool:
+    return find_homeomorphism(t1, t2) is not None

@@ -9,7 +9,6 @@ from finitetop import (
     build_topology,
     discrete,
     indiscrete,
-    is_homeomorphic,
     profile,
     read_census,
     space_id,
@@ -17,16 +16,17 @@ from finitetop import (
 )
 from finitetop.census import (
     PropertyProfile,
+    canonical_form,
     census_records,
     enumerate_topologies,
     homeo_census,
     labeled_census,
     record_to_obj,
 )
-from oracles import count_topologies_direct
+from oracles import count_topologies_direct, is_homeomorphic
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
-HOMEO_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33}
+HOMEO_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139}
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -41,7 +41,7 @@ def test_direct_oracle_confirms_counts(n):
     assert count_topologies_direct(n) == LABELED_COUNTS[n]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_homeo_counts(n):
     assert len(homeo_census(n)) == HOMEO_COUNTS[n]
 
@@ -62,6 +62,20 @@ def test_every_labeled_space_has_exactly_one_representative(n):
                 assert not is_homeomorphic(rep1, rep2)
     for t in labeled_census(n):
         assert sum(1 for rep in reps if is_homeomorphic(t, rep)) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_canonical_form_decides_homeomorphism(n):
+    groups: dict[tuple[int, ...], list] = {}
+    for t in labeled_census(n):
+        groups.setdefault(canonical_form(t), []).append(t)
+    firsts = [members[0] for members in groups.values()]
+    for members in groups.values():
+        assert all(is_homeomorphic(t, members[0]) for t in members[1:])
+    for i, rep1 in enumerate(firsts):
+        for rep2 in firsts[i + 1:]:
+            assert not is_homeomorphic(rep1, rep2)
+    assert len(groups) == HOMEO_COUNTS[n]
 
 
 def test_enumeration_budget():

@@ -129,6 +129,13 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suites" in err
 
 
+def test_verify_empty_suite_list_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--suite", ",")
+    assert code == 2
+    assert out == ""
+    assert "no suites given" in err
+
+
 def test_search_gc_mismatch_text(capsys):
     code, out, _ = run_cli(capsys, "search", "--predicate", "gc-mismatch", "--max-n", "3")
     assert code == 0
@@ -207,6 +214,15 @@ def test_inspect_unknown_facet(capsys, tmp_path):
     code, _, err = run_cli(capsys, "inspect", "--space", str(space), "--facets", "hue")
     assert code == 2
     assert "unknown facets" in err
+
+
+def test_inspect_empty_facet_list_exits_2(capsys, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(SPACE_TEXT)
+    code, out, err = run_cli(capsys, "inspect", "--space", str(space), "--facets", " , ")
+    assert code == 2
+    assert out == ""
+    assert "no facets given" in err
 
 
 def test_inspect_json_lines(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Space construction, subspaces, products, preorder tables, homeomorphism, IO."""
+"""Space construction, subspaces, products, preorder tables, the homeomorphism oracle, IO."""
 
 import json
 
@@ -11,10 +11,8 @@ from finitetop import (
     build_topology,
     complement,
     discrete,
-    find_homeomorphism,
     from_preorder,
     indiscrete,
-    is_homeomorphic,
     minimal_nbhd,
     product,
     space_from_json,
@@ -23,6 +21,7 @@ from finitetop import (
 )
 from finitetop.census import enumerate_preorders, labeled_census
 from finitetop.spaces import full_set, iter_points, mask_of, set_text
+from oracles import find_homeomorphism, is_homeomorphic
 
 
 def close_family(masks, n):
@@ -266,7 +265,7 @@ def test_preorder_validation():
         from_preorder(tuple(1 << x for x in range(17)))  # past the point cap
 
 
-# --- homeomorphism -----------------------------------------------------------------
+# --- homeomorphism oracle ----------------------------------------------------------
 
 def test_homeomorphic_relabelings():
     assert is_homeomorphic(build_topology(3, [0b001]), build_topology(3, [0b010]))

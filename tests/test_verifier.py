@@ -2,8 +2,9 @@
 
 import pytest
 
-from finitetop import discrete, is_homeomorphic, run_suite, search
+from finitetop import discrete, run_suite, search
 from finitetop.census import labeled_census
+from oracles import is_homeomorphic
 from finitetop.verifier import (
     SEARCH_PREDICATES,
     SUITE_DESCRIPTIONS,
