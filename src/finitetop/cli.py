@@ -105,7 +105,10 @@ def _cmd_verify(args, out: TextIO) -> int:
     if args.census is not None:
         with open(args.census, "r", encoding="utf-8") as fh:
             spaces = tuple(rec.space for rec in census_mod.read_census(fh))
-        n = spaces[0].n if spaces else 0
+        if not spaces:
+            # a verify that checked nothing must not report success
+            raise ValueError(f"census file {args.census} holds no spaces")
+        n = spaces[0].n
     else:
         spaces = census_mod.labeled_census(args.n)
         n = args.n

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .spaces import Topology, check_fits, full_set, iter_points
+from .spaces import Topology, check_fits, full_set
 from .operators import alpha_topology, set_class
 
 PROPERTY_TAGS = (
@@ -110,15 +110,12 @@ def canonical_cover(t: Topology, kind: str) -> SetFamily:
 
 # --- refinement search -------------------------------------------------------
 
-def has_refinement(
-    t: Topology, cover: SetFamily, constraint: str, want_witness: bool = False
-):
+def has_refinement(t: Topology, cover: SetFamily, constraint: str) -> bool:
     """Does some family from the constraint class refine cover and cover X?
 
     For the dense-union constraint the refinement's union only needs to be
     dense.  The test is whether the union of all class members inside some
-    cover member covers; the witness picks one such member per uncovered
-    point.
+    cover member covers.
     """
     if t.n != cover.n:
         raise ValueError("cover and space have different point counts")
@@ -127,32 +124,12 @@ def has_refinement(
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown refinement constraint {constraint!r}")
     class_kind, dense = CONSTRAINTS[constraint]
-    candidates = tuple(
-        c
-        for c in set_class(t, class_kind)
-        if c != 0 and any(c & ~u == 0 for u in cover.members)
-    )
     reach = 0
-    for c in candidates:
-        reach |= c
+    for c in set_class(t, class_kind):
+        if any(c & ~u == 0 for u in cover.members):
+            reach |= c
     full = full_set(t.n)
-    ok = (t.closure(reach) == full) if dense else (reach == full)
-    if not want_witness:
-        return ok
-    if not ok:
-        return False, None
-    picked: list[int] = []
-    have = 0
-    for x in iter_points(reach):
-        if have >> x & 1:
-            continue
-        for c in candidates:
-            if c >> x & 1:
-                if c not in picked:
-                    picked.append(c)
-                have |= c
-                break
-    return True, SetFamily(t.n, tuple(picked), label="refinement-witness")
+    return (t.closure(reach) == full) if dense else (reach == full)
 
 
 def every_cover_has_refinement(t: Topology, cover_kind: str, constraint: str) -> bool:

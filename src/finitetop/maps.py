@@ -5,12 +5,11 @@ Maps are arbitrary total functions, not assumed continuous.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator
 
-from .spaces import Topology, _is_int, iter_points, parse_json, space_from_obj, space_to_obj
+from .spaces import Topology, iter_points
 from .operators import alpha_topology
 from .covers import check_property
 
@@ -124,30 +123,3 @@ def verify_fm1(f: SpaceMap) -> str:
     if check_property(f.codomain, "alpha-subparacompact"):
         return "holds"
     return "VIOLATION"
-
-
-# --- structured text format -------------------------------------------------
-
-def map_to_obj(f: SpaceMap) -> dict:
-    return {
-        "fn": list(f.fn),
-        "domain": space_to_obj(f.domain),
-        "codomain": space_to_obj(f.codomain),
-    }
-
-
-def map_to_json(f: SpaceMap) -> str:
-    return json.dumps(map_to_obj(f))
-
-
-def map_from_json(text: str) -> SpaceMap:
-    obj = parse_json(text, "malformed map text")
-    if not isinstance(obj, dict):
-        raise ValueError("map text must be a JSON object")
-    for key in ("fn", "domain", "codomain"):
-        if key not in obj:
-            raise ValueError(f"map object needs the {key!r} field")
-    fn = obj["fn"]
-    if not isinstance(fn, list) or not all(_is_int(y) for y in fn):
-        raise ValueError("'fn' must be a list of integer points")
-    return SpaceMap(space_from_obj(obj["domain"]), space_from_obj(obj["codomain"]), tuple(fn))

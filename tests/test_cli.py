@@ -35,8 +35,11 @@ def object_text(fields):
 # SHA-256 of stdout as the definitional 2^n scans printed it (commit 5111cc0;
 # the homeomorphism census and the g-closed search at commit bca6d73; the
 # 3-point verify, whose lemma-lfm1 suite ran the exhaustive refinement search,
-# and the compact-not-alpha-subparacompact search at commit 709e3b0); census
-# files, space ids and report text stay byte-identical
+# and the compact-not-alpha-subparacompact search at commit 709e3b0; the
+# non-nodec search, the JSON g-closed search and the JSON 4-point verify, as
+# hand-written witness re-checks and the f-sigma-g-alpha-closed union scan
+# printed them, at commit 6418001); census files, space ids and report text
+# stay byte-identical
 PINNED_STDOUT_SHA256 = {
     "census --n 4": "e32541eee516ae3900ede709dd60c8f8ade0f2b2617885bde3650328ca3d8fcd",
     "census --n 5 --up-to-homeo": (
@@ -52,6 +55,15 @@ PINNED_STDOUT_SHA256 = {
     "verify --n 3 --suite all": "d679cfd56c75497567ef17aa0a19c0011e93f204f3315713045c4d0cb34e60fc",
     "search --predicate compact-not-alpha-subparacompact --max-n 4": (
         "3a8b3799e9fe97c936e8e46a10f0fdc3e4fdc3107d4b82e387af543ed809a74a"
+    ),
+    "search --predicate non-nodec --max-n 4": (
+        "8e9ea1c9f04db833ec942d6ea43e561c14bace6f47be535f0ad7aed25570f7f2"
+    ),
+    "search --predicate gc-mismatch --max-n 3 --format json": (
+        "3d8e82817d8f5de38adc59d8100f889d4ef8a3af1a373990b3b5f2bd0c779717"
+    ),
+    "verify --n 4 --suite all --format json": (
+        "53dcea11d35fb0257a0c65b8d46ae4799fffe0ad5e02833d800f6a73337046c4"
     ),
 }
 
@@ -111,6 +123,17 @@ def test_verify_census_file_input(capsys, tmp_path):
     )
     assert code == 0
     assert "4 checked" in out
+
+
+@pytest.mark.parametrize("kind", ["empty", "header-only"])
+def test_verify_census_without_spaces_exits_2(capsys, tmp_path, kind):
+    path = tmp_path / "census.txt"
+    header = json.dumps({"format": CENSUS_FORMAT, "n": 3}) + "\n"
+    path.write_text("" if kind == "empty" else header)
+    code, out, err = run_cli(capsys, "verify", "--census", str(path), "--suite", "prop-p1")
+    assert code == 2
+    assert out == ""
+    assert "finitetop: error" in err and "holds no spaces" in err
 
 
 def test_verify_json_format(capsys):

@@ -151,7 +151,7 @@ def test_refinement_witness_is_valid(one_open_point):
     d = discrete(3)
     cover = canonical_cover(d, "alpha-open")
     for constraint, (class_kind, dense) in CONSTRAINTS.items():
-        ok, witness = has_refinement(d, cover, constraint, want_witness=True)
+        ok, witness = has_refinement_exhaustive(d, cover, constraint, want_witness=True)
         assert ok
         assert refines(witness, cover)
         cls = set_class(d, class_kind)

@@ -13,7 +13,7 @@ from finitetop import (
     verify_fm1,
 )
 from finitetop.census import labeled_census
-from finitetop.maps import MAP_KINDS, map_from_json, map_to_json
+from finitetop.maps import MAP_KINDS
 
 
 def test_identity_satisfies_everything(one_open_point):
@@ -122,37 +122,3 @@ def test_fm1_sweep_two_point_spaces_clean():
                 verdicts[verify_fm1(f)] += 1
     assert verdicts["VIOLATION"] == 0
     assert verdicts["holds"] > 0
-
-
-def test_map_json_round_trip(one_open_point):
-    f = SpaceMap(one_open_point, discrete(2), (0, 0, 1))
-    again = map_from_json(map_to_json(f))
-    assert again == f
-    with pytest.raises(ValueError):
-        map_from_json("{}")
-    with pytest.raises(ValueError):
-        map_from_json("not json")
-
-
-def _map_text(fn):
-    # one point into two, so that true would read as the point 1
-    domain, codomain = '{"n": 1, "opens": [[], [0]]}', '{"n": 2, "opens": [[], [0, 1]]}'
-    return f'{{"fn": {fn}, "domain": {domain}, "codomain": {codomain}}}'
-
-
-MALFORMED_MAPS = {
-    "number": "5",
-    "list": "[1, 2]",
-    "null": "null",
-    "fn-number": _map_text("0"),
-    "fn-string": _map_text('"01"'),
-    "fn-string-point": _map_text('["a"]'),
-    "fn-bool-point": _map_text("[true]"),
-    "fn-float-point": _map_text("[0.0]"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED_MAPS))
-def test_map_from_json_rejects_malformed_shapes(name):
-    with pytest.raises(ValueError):
-        map_from_json(MALFORMED_MAPS[name])

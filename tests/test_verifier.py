@@ -2,9 +2,13 @@
 
 import pytest
 
-from finitetop import discrete, run_suite, search
+from finitetop import SetFamily, discrete, product, run_suite, search
 from finitetop.census import labeled_census
-from oracles import is_homeomorphic
+from oracles import (
+    every_cover_has_refinement_exhaustive,
+    has_refinement_exhaustive,
+    is_homeomorphic,
+)
 from finitetop.verifier import (
     SEARCH_PREDICATES,
     SUITE_DESCRIPTIONS,
@@ -119,10 +123,30 @@ def test_question_searches_report_neutrally():
 @pytest.mark.parametrize("predicate", SEARCH_PREDICATES)
 def test_witness_recheck_invariant(predicate):
     max_n = 2 if predicate == "question1-witness" else 3
-    for w in search(predicate, max_n):
+    witnesses = search(predicate, max_n)
+    for w in witnesses:
         assert w.re_check()
         obj = witness_to_obj(w)
         assert obj["predicate"] == predicate
+    # re_check runs the search code again, so judge the covering witnesses
+    # with the definitional oracles as well
+    if predicate == "compact-not-alpha-subparacompact":
+        assert witnesses
+        for w in witnesses:
+            (t,) = w.spaces
+            cover = SetFamily(t.n, w.subsets)
+            assert not has_refinement_exhaustive(t, cover, "closed+sigma-discrete")
+    if predicate == "question1-witness":
+        assert witnesses
+        for w in witnesses:
+            t1, t2 = w.spaces
+            assert _alpha_subparacompact_exhaustive(t1)
+            assert _alpha_subparacompact_exhaustive(t2)
+            assert not _alpha_subparacompact_exhaustive(product(t1, t2))
+
+
+def _alpha_subparacompact_exhaustive(t):
+    return every_cover_has_refinement_exhaustive(t, "alpha-open", "closed+sigma-discrete")
 
 
 def test_search_results_closed_under_relabeling():
