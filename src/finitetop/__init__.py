@@ -21,6 +21,7 @@ from .operators import (
     HULL_KINDS,
     alpha_topology,
     hull,
+    hull_table,
     is_in_class,
     set_class,
 )

@@ -1,11 +1,26 @@
 """Closure-type operators and set-class predicates.
 
-Each set class is stated once.  ``_FORMULAS`` holds the defining formula
-``(t, a) -> bool`` of each primal kind, evaluated literally against the
-space; ``_DUALS`` names, for each dual kind, the primal kind whose formula
-holds on the complement (closed sets are the complements of open sets, and
-so on).  A dual class is therefore the complements of its partner's members,
-listed in reverse so the order stays ascending.
+Each set class and each hull is stated once, as a formula over the lookups
+of one space: ``cl`` (closure), ``int_`` (interior) and ``hull`` (open
+hull), each a map from a mask to a mask, and the full set ``full``.  A
+question about one mask passes the ``Topology`` methods as the lookups.  A
+scan of every mask passes lookups into tables built for that scan alone,
+at one OR per entry:
+
+    cl[a] = cl[a minus x] | cl{x},  hull[a] = hull[a minus x] | U_x,
+    int[a] = X minus cl[X minus a]
+
+for any point x of a, because closure and the open hull are finitely
+additive and the interior is dual to the closure.  The tables are locals
+of the scan and go with it.  Kept on the space or in a cache they would
+hold three 65536-entry lists for every 16-point space a sweep touches.
+
+``_FORMULAS`` holds each primal kind.  ``_DUALS`` names, for each dual
+kind, the primal kind whose formula holds on the complement (closed sets
+are the complements of open sets, and so on).  A dual class is therefore
+the complements of its partner's members, listed in reverse so the order
+stays ascending.  ``_OF_REFINEMENT`` names the kinds that are another kind
+taken in the alpha-refinement.
 
 sg-closed has a closed form with no nested scan.  The largest semi-open
 subset of X minus {y} is X minus ({y} ∪ int cl{y}), so a misses some
@@ -15,8 +30,9 @@ sg-closed iff every y in int(cl a) minus a fails that.
 f-sigma-g-alpha-closed, the countable unions of gα-closed sets, is the
 gα-closed class itself.  Closure is finitely additive, so a finite union of
 g-closed sets is g-closed (Levine, Rend. Circ. Mat. Palermo 19, 1970), and
-on a finite space every union is finite.  The tests check the collapse
-against the unions of gα-closed subsets.
+on a finite space every union is finite.  Both kinds name the g-closed
+class of the alpha-refinement and share its cached tuple.  The tests check
+the collapse against the unions of gα-closed subsets.
 
 Classes of the alpha-refinement are always computed by first materializing
 the refined topology, never by rewriting formulas in terms of the base
@@ -29,9 +45,9 @@ two-sided check instead of a tautology.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .spaces import Topology, complement, from_preorder, full_set, iter_points
+from .spaces import Topology, check_fits, complement, from_preorder, full_set
 
 
 @lru_cache(maxsize=None)
@@ -60,68 +76,64 @@ def alpha_topology(t: Topology) -> Topology:
         raise RuntimeError(f"alpha neighborhood table {table} is not a preorder: {exc}") from exc
 
 
-def _semi_closure(t: Topology, a: int) -> int:
-    # a ∪ int(cl a) is semi-closed, since int(cl) of it is int(cl a) again,
-    # and every semi-closed c ⊇ a holds int(cl c) ⊇ int(cl a)
-    return a | t.interior(t.closure(a))
+def _method_lookups(t: Topology) -> tuple:
+    return t.closure, t.interior, t.open_hull, full_set(t.n)
+
+
+def _table_lookups(t: Topology) -> tuple:
+    # the masks whose highest point is x are the masks below x with x added
+    cl, hull = [0], [0]
+    for x, u in enumerate(t.min_nbhd):
+        c = t.closure(1 << x)
+        cl += [m | c for m in cl]
+        hull += [m | u for m in hull]
+    full = full_set(t.n)
+    # X minus a runs downward as a runs upward
+    interior = [full ^ m for m in reversed(cl)]
+    return cl.__getitem__, interior.__getitem__, hull.__getitem__, full
 
 
 # closure/interior are the usual operators; semi-closure is the intersection
-# of all semi-closed supersets; the alpha variants are the same operators in
-# the materialized alpha-refinement; semi-interior is the dual of semi-closure
+# of all semi-closed supersets: a ∪ int(cl a) is semi-closed, since int(cl)
+# of it is int(cl a) again, and every semi-closed c ⊇ a holds
+# int(cl c) ⊇ int(cl a); semi-interior is its dual, a ∩ cl(int a)
 _HULLS = {
-    "closure": Topology.closure,
-    "interior": Topology.interior,
-    "semi-closure": _semi_closure,
-    "alpha-closure": lambda t, a: alpha_topology(t).closure(a),
-    "alpha-semi-closure": lambda t, a: _semi_closure(alpha_topology(t), a),
-    "semi-interior": lambda t, a: complement(_semi_closure(t, complement(a, t.n)), t.n),
+    "closure": lambda cl, int_, hull, full, a: cl(a),
+    "interior": lambda cl, int_, hull, full, a: int_(a),
+    "semi-closure": lambda cl, int_, hull, full, a: a | int_(cl(a)),
+    "semi-interior": lambda cl, int_, hull, full, a: a & cl(int_(a)),
 }
 
-HULL_KINDS = tuple(_HULLS)
+HULL_KINDS = (
+    "closure", "interior", "semi-closure", "alpha-closure", "alpha-semi-closure",
+    "semi-interior",
+)
 
 
-def hull(t: Topology, a: int, kind: str) -> int:
-    """Closure-type hull of a subset."""
-    try:
-        fn = _HULLS[kind]
-    except KeyError:
-        raise ValueError(f"unknown hull kind {kind!r}") from None
-    return fn(t, a)
-
-
-def _is_g_closed(t: Topology, a: int) -> bool:
-    # the open hull is the least open superset, so it stands for them all
-    return t.closure(a) & ~t.open_hull(a) == 0
-
-
-def _is_sg_closed(t: Topology, a: int) -> bool:
+def _is_sg_closed(cl, int_, hull, full, a):
     # every point the semi-closure adds lies in each semi-open superset of a
-    return all(
-        a & t.interior(t.closure(1 << y))
-        for y in iter_points(t.interior(t.closure(a)) & ~a)
-    )
-
-
-def _is_g_alpha_closed(t: Topology, a: int) -> bool:
-    return _is_g_closed(alpha_topology(t), a)
+    extra = int_(cl(a)) & ~a
+    while extra:
+        low = extra & -extra
+        if not a & int_(cl(low)):
+            return False
+        extra ^= low
+    return True
 
 
 _FORMULAS = {
-    "open": Topology.is_open,
-    "semi-open": lambda t, a: a & ~t.closure(t.interior(a)) == 0,
-    "regular-open": lambda t, a: a == t.interior(t.closure(a)),
-    "alpha-open": lambda t, a: a & ~t.interior(t.closure(t.interior(a))) == 0,
-    "preopen": lambda t, a: a & ~t.interior(t.closure(a)) == 0,
-    "beta-open": lambda t, a: a & ~t.closure(t.interior(t.closure(a))) == 0,
-    "nowhere-dense": lambda t, a: t.interior(t.closure(a)) == 0,
-    "dense": lambda t, a: t.closure(a) == full_set(t.n),
-    "clopen": lambda t, a: t.is_open(a) and t.is_closed(a),
-    "g-closed": _is_g_closed,
+    "open": lambda cl, int_, hull, full, a: int_(a) == a,
+    "semi-open": lambda cl, int_, hull, full, a: a & ~cl(int_(a)) == 0,
+    "regular-open": lambda cl, int_, hull, full, a: a == int_(cl(a)),
+    "alpha-open": lambda cl, int_, hull, full, a: a & ~int_(cl(int_(a))) == 0,
+    "preopen": lambda cl, int_, hull, full, a: a & ~int_(cl(a)) == 0,
+    "beta-open": lambda cl, int_, hull, full, a: a & ~cl(int_(cl(a))) == 0,
+    "nowhere-dense": lambda cl, int_, hull, full, a: int_(cl(a)) == 0,
+    "dense": lambda cl, int_, hull, full, a: cl(a) == full,
+    "clopen": lambda cl, int_, hull, full, a: int_(a) == a == cl(a),
+    # the open hull is the least open superset, so it stands for them all
+    "g-closed": lambda cl, int_, hull, full, a: cl(a) & ~hull(a) == 0,
     "sg-closed": _is_sg_closed,
-    "g-alpha-closed": _is_g_alpha_closed,
-    # closure is finitely additive, so unions of gα-closed sets are gα-closed
-    "f-sigma-g-alpha-closed": _is_g_alpha_closed,
 }
 
 # dual kind -> primal kind whose formula holds on the complement
@@ -135,34 +147,68 @@ _DUALS = {
     "sg-open": "sg-closed",
 }
 
-# each primal kind followed by its dual, if it has one
+# kind -> the kind it is in the alpha-refinement
+_OF_REFINEMENT = {
+    "alpha-closure": "closure",
+    "alpha-semi-closure": "semi-closure",
+    "g-alpha-closed": "g-closed",
+    "f-sigma-g-alpha-closed": "g-closed",
+}
+
+# each primal kind followed by its dual, if it has one, then the kinds of
+# the alpha-refinement
 CLASS_KINDS = tuple(
     k for p in _FORMULAS for k in (p, *(d for d, q in _DUALS.items() if q == p))
-)
+) + tuple(k for k, base in _OF_REFINEMENT.items() if base in _FORMULAS)
 
 
-def _formula(kind: str):
-    try:
-        return _FORMULAS[kind]
-    except KeyError:
-        raise ValueError(f"unknown class kind {kind!r}") from None
+def _resolve(t: Topology, kind: str) -> tuple[Topology, str]:
+    # the space a kind is computed in, and its kind there
+    if kind in _OF_REFINEMENT:
+        return alpha_topology(t), _OF_REFINEMENT[kind]
+    return t, kind
+
+
+def _check_kind(kind: str, kinds: tuple[str, ...], what: str) -> None:
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+
+
+def hull(t: Topology, a: int, kind: str) -> int:
+    """Closure-type hull of a subset."""
+    _check_kind(kind, HULL_KINDS, "hull")
+    check_fits(a, t.n)
+    t, kind = _resolve(t, kind)
+    return _HULLS[kind](*_method_lookups(t), a)
+
+
+def hull_table(t: Topology, kind: str) -> list[int]:
+    """The hull of every subset, indexed by its mask."""
+    _check_kind(kind, HULL_KINDS, "hull")
+    t, kind = _resolve(t, kind)
+    return list(map(partial(_HULLS[kind], *_table_lookups(t)), range(1 << t.n)))
 
 
 def is_in_class(t: Topology, a: int, kind: str) -> bool:
     """Evaluate the defining formula of one set class."""
+    _check_kind(kind, CLASS_KINDS, "class")
+    check_fits(a, t.n)
+    t, kind = _resolve(t, kind)
     if kind in _DUALS:
         kind, a = _DUALS[kind], complement(a, t.n)
-    return _formula(kind)(t, a)
+    return _FORMULAS[kind](*_method_lookups(t), a)
 
 
 @lru_cache(maxsize=None)
 def set_class(t: Topology, kind: str) -> tuple[int, ...]:
     """All subsets of the space in one class, in ascending mask order."""
+    _check_kind(kind, CLASS_KINDS, "class")
+    if kind in _OF_REFINEMENT:
+        return set_class(*_resolve(t, kind))
     if kind in _DUALS:
         # complementing reverses the ascending order of the partner's members
         n = t.n
         return tuple(complement(a, n) for a in reversed(set_class(t, _DUALS[kind])))
     if kind == "open":
         return t.opens
-    formula = _formula(kind)
-    return tuple(a for a in range(1 << t.n) if formula(t, a))
+    return tuple(filter(partial(_FORMULAS[kind], *_table_lookups(t)), range(1 << t.n)))

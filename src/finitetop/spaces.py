@@ -7,8 +7,9 @@ minimal-neighborhood table: ``min_nbhd[x]`` is the smallest open set around
 x, which is also the up-set of x in the specialization preorder
 (Alexandroff's correspondence).  Every operator reduces to a few bit
 operations against that table, and the open sets are enumerated from it on
-demand, in time proportional to their number; a class with no closed form
-scans at most 65536 masks.
+demand, in time proportional to their number.  A whole-class scan of at
+most 65536 masks builds its own closure, interior and open-hull tables
+from this one (see ``operators``).
 """
 
 from __future__ import annotations

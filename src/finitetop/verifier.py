@@ -31,10 +31,10 @@ from .spaces import (
     space_to_obj,
     subspace,
 )
-from .operators import alpha_topology, hull, set_class
+from .operators import alpha_topology, hull_table, set_class
 from .covers import canonical_cover, check_property, every_cover_has_refinement
 from .maps import enumerate_maps, verify_fm1
-from .census import labeled_census, space_id
+from .census import MAX_LABELED_N, labeled_census, space_id
 
 SUITE_TAGS = (
     "lemma-2.1",
@@ -189,26 +189,25 @@ def _implies(hypotheses: tuple[str, ...], conclusion: str, message: str):
 
 
 def _check_prop_p1(t):
-    problems = []
-    for a in range(1 << t.n):
-        left = hull(t, a, "alpha-semi-closure")
-        right = hull(t, a, "semi-closure")
-        if left != right:
-            problems.append(
-                f"semi-closures of {set_text(a, t.n)} differ: refined "
-                f"{set_text(left, t.n)}, base {set_text(right, t.n)}"
-            )
+    refined = hull_table(t, "alpha-semi-closure")
+    base = hull_table(t, "semi-closure")
+    problems = [
+        f"semi-closures of {set_text(a, t.n)} differ: refined "
+        f"{set_text(left, t.n)}, base {set_text(right, t.n)}"
+        for a, (left, right) in enumerate(zip(refined, base))
+        if left != right
+    ]
     return True, problems + _class_differences(t, ("sg-closed",))
 
 
 def _check_lemma_22(t):
-    problems = []
-    for a in set_class(t, "semi-open"):
-        if hull(t, a, "alpha-closure") != hull(t, a, "closure"):
-            problems.append(
-                f"closures of semi-open {set_text(a, t.n)} differ under refinement"
-            )
-    return True, problems
+    refined = hull_table(t, "alpha-closure")
+    base = hull_table(t, "closure")
+    return True, [
+        f"closures of semi-open {set_text(a, t.n)} differ under refinement"
+        for a in set_class(t, "semi-open")
+        if refined[a] != base[a]
+    ]
 
 
 def _check_thm_22(t):
@@ -372,8 +371,9 @@ def search(predicate: str, max_n: int) -> list[Witness]:
     """
     if predicate not in SEARCH_PREDICATES:
         raise ValueError(f"unknown search predicate {predicate!r}")
-    if not 1 <= max_n <= MAX_POINTS:
-        raise ValueError(f"max_n must be in 1..{MAX_POINTS}, got {max_n}")
+    # every sweep enumerates labeled censuses, so check before the first one
+    if not 1 <= max_n <= MAX_LABELED_N:
+        raise ValueError(f"max_n must be in 1..{MAX_LABELED_N}, got {max_n}")
     if predicate == "question1-witness":
         candidates = _factor_pairs(max_n)
     else:

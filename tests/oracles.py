@@ -11,6 +11,11 @@ production is evidence for the reductions rather than a restatement of
 them.  The topology count by filtering every subset family lives here too,
 and so does the backtracking homeomorphism search (find_homeomorphism,
 is_homeomorphic) that judges the census's canonical-form dedup.
+
+The per-mask class formulas (CLASS_FORMULAS, is_in_class_per_mask) ask the
+space's own closure and interior about one mask at a time.  Production
+states each formula once over closure, interior and open-hull lookups and
+scans whole classes on tables; these judge those scans.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Optional
 
-from finitetop import SetFamily, Topology, set_class
+from finitetop import SetFamily, Topology, alpha_topology, set_class
 from finitetop.covers import CONSTRAINTS
-from finitetop.spaces import full_set, iter_points
+from finitetop.spaces import complement, full_set, iter_points
 
 FAMILY_PREDICATES = (
     "discrete",
@@ -307,3 +312,56 @@ def _point_signatures(t: Topology) -> list[tuple[int, int]]:
 
 def is_homeomorphic(t1: Topology, t2: Topology) -> bool:
     return find_homeomorphism(t1, t2) is not None
+
+
+# --- per-mask class formulas -----------------------------------------------
+
+def _is_g_closed(t: Topology, a: int) -> bool:
+    return t.closure(a) & ~t.open_hull(a) == 0
+
+
+def _is_sg_closed(t: Topology, a: int) -> bool:
+    return all(
+        a & t.interior(t.closure(1 << y))
+        for y in iter_points(t.interior(t.closure(a)) & ~a)
+    )
+
+
+CLASS_FORMULAS = {
+    "open": Topology.is_open,
+    "semi-open": lambda t, a: a & ~t.closure(t.interior(a)) == 0,
+    "regular-open": lambda t, a: a == t.interior(t.closure(a)),
+    "alpha-open": lambda t, a: a & ~t.interior(t.closure(t.interior(a))) == 0,
+    "preopen": lambda t, a: a & ~t.interior(t.closure(a)) == 0,
+    "beta-open": lambda t, a: a & ~t.closure(t.interior(t.closure(a))) == 0,
+    "nowhere-dense": lambda t, a: t.interior(t.closure(a)) == 0,
+    "dense": lambda t, a: t.closure(a) == full_set(t.n),
+    "clopen": lambda t, a: t.is_open(a) and t.is_closed(a),
+    "g-closed": _is_g_closed,
+    "sg-closed": _is_sg_closed,
+    "g-alpha-closed": lambda t, a: _is_g_closed(alpha_topology(t), a),
+    "f-sigma-g-alpha-closed": lambda t, a: _is_g_closed(alpha_topology(t), a),
+}
+
+# dual kind -> kind whose formula holds on the complement
+CLASS_DUALS = {
+    "closed": "open",
+    "semi-closed": "semi-open",
+    "regular-closed": "regular-open",
+    "alpha-closed": "alpha-open",
+    "codense": "dense",
+    "g-open": "g-closed",
+    "sg-open": "sg-closed",
+}
+
+
+def is_in_class_per_mask(t: Topology, a: int, kind: str) -> bool:
+    """The class formula of one mask, through the space's methods."""
+    if kind in CLASS_DUALS:
+        kind, a = CLASS_DUALS[kind], complement(a, t.n)
+    return CLASS_FORMULAS[kind](t, a)
+
+
+def class_scan_per_mask(t: Topology, kind: str) -> tuple[int, ...]:
+    """Every mask whose per-mask formula holds, ascending."""
+    return tuple(a for a in range(1 << t.n) if is_in_class_per_mask(t, a, kind))

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finitetop import indiscrete
+from conftest import SIXTEEN_POINT_PRODUCTS
+from finitetop import CLASS_KINDS, indiscrete, space_to_json, verifier
 from finitetop.census import CENSUS_FORMAT, CensusRecord, profile, record_to_obj, space_id
 from finitetop.cli import main
 
@@ -179,6 +180,18 @@ def test_search_json(capsys):
     assert head["counts"] == {"1": 0, "2": 0}
 
 
+def test_search_past_the_census_cap_exits_2_before_any_sweep(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(verifier, "labeled_census", lambda n: built.append(n) or ())
+    code, out, err = run_cli(
+        capsys, "search", "--predicate", "question1-witness", "--max-n", "9"
+    )
+    assert code == 2
+    assert out == ""
+    assert "got 9" in err
+    assert built == []
+
+
 def test_inspect_alpha_and_gc_facets(capsys, tmp_path):
     space = tmp_path / "space.json"
     space.write_text(SPACE_TEXT)
@@ -289,6 +302,22 @@ def test_stdout_matches_pinned_digest(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+# SHA-256 of `inspect` of the 16-point question1-witness square with every
+# class kind, as the per-mask formulas printed it at commit 055c5d3: the one
+# pinned output that reads every class formula at 16 points
+INSPECT_16_POINT_SHA256 = "83c6724b4f7f7200588510d866788933c9cd26fcefedfb25e21a650bd861eefe"
+
+
+def test_inspect_16_point_square_matches_pinned_digest(capsys, tmp_path):
+    space = tmp_path / "square.json"
+    space.write_text(space_to_json(SIXTEEN_POINT_PRODUCTS["question1-witness"]()))
+    code, out, _ = run_cli(
+        capsys, "inspect", "--space", str(space), "--facets", ",".join(CLASS_KINDS)
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INSPECT_16_POINT_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_SPACES))

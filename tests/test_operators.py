@@ -1,5 +1,8 @@
 """Hull operators, the alpha-refinement, and set-class predicates."""
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -11,12 +14,14 @@ from finitetop import (
     check_property,
     discrete,
     hull,
+    hull_table,
     indiscrete,
     is_in_class,
     set_class,
 )
 from finitetop.census import labeled_census
 from finitetop.spaces import complement, full_set
+from oracles import class_scan_per_mask
 
 
 # --- independent oracles ---------------------------------------------------------
@@ -28,11 +33,6 @@ def closure_oracle(t, a):
         if a & ~c == 0:
             out &= c
     return out
-
-
-def class_scan(t, kind):
-    """Every mask that satisfies the class formula."""
-    return tuple(a for a in range(1 << t.n) if is_in_class(t, a, kind))
 
 
 def alpha_open_scan(t):
@@ -189,9 +189,32 @@ def test_semi_closure_closed_form(ta):
     assert hull(t, a, "semi-closure") == a | t.interior(t.closure(a))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hull_tables_match_per_mask_hulls(n):
+    # the tables of one scan against the space's methods, in T and in T^α
+    for t in labeled_census(n):
+        for s in (t, alpha_topology(t)):
+            for kind in HULL_KINDS:
+                assert hull_table(s, kind) == [hull(s, a, kind) for a in range(1 << n)]
+
+
+@pytest.mark.parametrize("name", sorted(SIXTEEN_POINT_PRODUCTS))
+def test_semi_closure_table_matches_hull_at_16_points(name):
+    # the table prop-p1 reads, on every mask of a 16-point product
+    t = SIXTEEN_POINT_PRODUCTS[name]()
+    table = hull_table(t, "semi-closure")
+    assert table == [hull(t, a, "semi-closure") for a in range(1 << t.n)]
+
+
 def test_hull_unknown_kind(one_open_point):
     with pytest.raises(ValueError):
         hull(one_open_point, 0, "midpoint")
+
+
+@pytest.mark.parametrize("kind", HULL_KINDS)
+def test_hull_rejects_points_outside_the_space(one_open_point, kind):
+    with pytest.raises(ValueError):
+        hull(one_open_point, 0b1000, kind)
 
 
 # --- alpha topology ----------------------------------------------------------------
@@ -289,7 +312,7 @@ def test_discrete_classes_are_powerset():
 def test_open_and_closed_classes_match_formula_scan(n):
     for t in labeled_census(n):
         for kind in ("open", "closed"):
-            assert set_class(t, kind) == class_scan(t, kind)
+            assert set_class(t, kind) == class_scan_per_mask(t, kind)
 
 
 def test_indiscrete_closed_sets():
@@ -384,8 +407,62 @@ def test_f_sigma_g_alpha_closed_is_the_union_closure(n):
             assert set_class(s, "f-sigma-g-alpha-closed") == f_sigma_g_alpha_closed_scan(s), s
 
 
+# kinds whose per-mask formula scans a 16-point space in well under a
+# second, together reading every lookup: closure, interior and open hull
+CHEAP_KINDS = ("semi-open", "dense", "g-closed")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_scans_match_per_mask_formulas(n):
+    """Every kind, scanned on tables and asked per mask, against the
+    per-mask formulas over the space's methods, in T and in T^α."""
+    for t in labeled_census(n):
+        for s in (t, alpha_topology(t)):
+            for kind in CLASS_KINDS:
+                scan = class_scan_per_mask(s, kind)
+                assert set_class(s, kind) == scan, (s, kind)
+                asked = tuple(a for a in range(1 << n) if is_in_class(s, a, kind))
+                assert asked == scan, (s, kind)
+
+
+@pytest.mark.parametrize("name", sorted(SIXTEEN_POINT_PRODUCTS))
+def test_class_scans_match_per_mask_formulas_at_16_points(name):
+    t = SIXTEEN_POINT_PRODUCTS[name]()
+    for kind in CHEAP_KINDS:
+        assert set_class(t, kind) == class_scan_per_mask(t, kind), kind
+
+
+def test_class_scan_tables_do_not_outlive_the_scan():
+    # what stays after the scan is its cached result; one 65,536-entry
+    # table left behind would add at least a list of that length
+    t = SIXTEEN_POINT_PRODUCTS["sparse-alpha"]()
+    set_class.cache_clear()  # a growing cache dict would resize mid-measure
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        members = set_class(t, "semi-open")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    result = sys.getsizeof(members) + sum(sys.getsizeof(a) for a in members)
+    assert retained - result < sys.getsizeof([0] * (1 << t.n))
+
+
+def test_g_alpha_kinds_share_one_cached_tuple():
+    # both kinds are the g-closed class of T^α, scanned once
+    t = SIXTEEN_POINT_PRODUCTS["question1-witness"]()
+    refined = set_class(alpha_topology(t), "g-closed")
+    assert set_class(t, "g-alpha-closed") is refined
+    assert set_class(t, "f-sigma-g-alpha-closed") is refined
+
+
 def test_unknown_class_kind(one_open_point):
     with pytest.raises(ValueError):
         is_in_class(one_open_point, 0, "almost-open")
     with pytest.raises(ValueError):
         set_class(one_open_point, "almost-open")
+    # the alpha hulls are not classes, nor the refined classes hulls
+    with pytest.raises(ValueError):
+        set_class(one_open_point, "alpha-closure")
+    with pytest.raises(ValueError):
+        hull(one_open_point, 0, "g-alpha-closed")
