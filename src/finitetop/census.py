@@ -1,12 +1,16 @@
 """Exhaustive enumeration of all topologies on small point sets.
 
-The production route enumerates reflexive transitive relations by
+The labeled census enumerates reflexive transitive relations by
 backtracking over per-point up-set masks (pairwise row containment checks
 are exactly transitivity) and maps each relation to its topology of
-upward-closed sets; the census up to homeomorphism keeps the first space
-of each canonical form.  The far slower direct route — filtering every family
-of subsets for closure under union and intersection — is the test suite's
-independent oracle for the counts at small n (tests/oracles.py).
+upward-closed sets.  The census up to homeomorphism never builds the
+labeled spaces: it grows the classes one point at a time from the classes
+on one point fewer and keys each candidate by its least relabelled table,
+which is also the first labeled space of its class.  The test suite's
+independent oracles (tests/oracles.py) are the far slower direct route —
+filtering every family of subsets for closure under union and
+intersection — for the labeled counts, and the labeled sweep deduplicated
+by a cell-layout form for the classes.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
 from typing import Iterable, Iterator, TextIO
 
 from .spaces import (
@@ -23,6 +26,7 @@ from .spaces import (
     _down_sets,
     _is_int,
     from_preorder,
+    full_set,
     iter_points,
     parse_json,
     space_from_obj,
@@ -154,53 +158,109 @@ def enumerate_preorders(n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_topologies(n: int, up_to_homeo: bool = False) -> Iterator[Topology]:
     """Every topology on n labeled points exactly once, deterministic order.
 
-    With up_to_homeo the stream keeps the first representative of each
-    homeomorphism class: a space is kept the first time its canonical form
-    is seen.
+    With up_to_homeo the stream holds one space per homeomorphism class, its
+    least table (see homeo_tables): the first space of the class in the
+    labeled order.
     """
     cap = MAX_HOMEO_N if up_to_homeo else MAX_LABELED_N
     if not 1 <= n <= cap:
         raise ValueError(f"enumeration budget is n <= {cap} for this mode, got {n}")
-    stream = (from_preorder(r) for r in enumerate_preorders(n))
-    if not up_to_homeo:
-        return stream
-    return _first_of_each_form(stream)
+    if up_to_homeo:
+        return (from_preorder(rows) for rows in homeo_tables(n))
+    return (from_preorder(r) for r in enumerate_preorders(n))
 
 
-def _first_of_each_form(stream: Iterator[Topology]) -> Iterator[Topology]:
-    seen: set[tuple[int, ...]] = set()
-    for t in stream:
-        form = canonical_form(t)
-        if form not in seen:
-            seen.add(form)
-            yield t
+def homeo_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """The least table of every homeomorphism class on n points, ascending.
 
-
-def canonical_form(t: Topology) -> tuple[int, ...]:
-    """The least relabelled min_nbhd table among the cell-respecting relabellings.
-
-    Points are grouped into cells by their (up-set size, down-set size) pair
-    and the cells are laid out in the order of that pair; every relabelling
-    that permutes points within their cells is tried.  A homeomorphism keeps
-    both sizes, so homeomorphic spaces reach the same set of tables, and two
-    spaces with the same form are homeomorphic to it: the form is a complete
-    key.  The cost is the product of the cell sizes' factorials, at most
-    720 relabellings for n <= MAX_HOMEO_N.
+    Built level by level from the one-point space.  Deleting a point p of an
+    n-point space leaves an (n-1)-point subspace, so every class arises from
+    an (n-1)-point class by one new point p.  Its up-set is u | p and it lies
+    above the points of d, for an open u and a closed d with u inside every
+    U_x, x in d; the rows of d gain p.  Every space has a point whose
+    minimal neighborhood is largest, and deleting that one suffices, so only
+    extensions where p has a largest row are keyed.  The least table both
+    merges candidates of one class and is the printed representative.
     """
-    nbhd = t.min_nbhd
-    cells: dict[tuple[int, int], list[int]] = {}
-    for x, (up, down) in enumerate(zip(nbhd, _down_sets(nbhd))):
-        cells.setdefault((up.bit_count(), down.bit_count()), []).append(x)
-    best = None
-    for blocks in product(*(permutations(cells[key]) for key in sorted(cells))):
-        order = [x for block in blocks for x in block]
-        image = [0] * t.n
-        for position, x in enumerate(order):
-            image[x] = position
-        form = tuple(sum(1 << image[y] for y in iter_points(nbhd[x])) for x in order)
-        if best is None or form < best:
-            best = form
-    return best
+    if n < 1:
+        raise ValueError(f"point count must be at least 1, got {n}")
+    level: Iterable[tuple[int, ...]] = [(1,)]
+    for _ in range(n - 1):
+        level = sorted({least_table(t) for rows in level for t in _one_point_extensions(rows)})
+    return tuple(level)
+
+
+def _one_point_extensions(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    # every table on one more point p = n whose row for p is a largest row
+    # and whose subspace on 0..n-1 is rows
+    n = len(rows)
+    full, p = full_set(n), 1 << n
+    opens = from_preorder(rows).opens
+    sizes = [row.bit_count() for row in rows]
+    for closed in opens:
+        d = full ^ closed
+        meet = full
+        for x in iter_points(d):
+            meet &= rows[x]
+        largest = max(size + (d >> x & 1) for x, size in enumerate(sizes))
+        for u in opens:
+            if not u & ~meet and u.bit_count() + 1 >= largest:
+                yield tuple(row | p if d >> x & 1 else row for x, row in enumerate(rows)) + (u | p,)
+
+
+def least_table(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least relabelling of a table over all bijections.
+
+    Homeomorphic spaces share it, so it is a complete key, and it is the
+    first space of the class in enumerate_preorders order.  Positions are
+    filled in order.  A point q put at position k gets at least the row
+    image[q] (the positions of its placed up-set) plus the next c_q
+    positions, c_q = |U_q unplaced|.  When q's bound is least, every other
+    unplaced point of U_q is equivalent to q (a point strictly above q has
+    a smaller c and so a smaller bound), and those points have the least
+    bounds at the next steps, so q's bound is its final row.  Each level
+    therefore keeps just the partial labellings whose new row is least.
+    Of tied twins (points whose transposition is an automorphism) only the
+    first is kept: both reach the same tables.
+    """
+    n = len(rows)
+    down = _down_sets(rows)
+    # (placed points, row of each point over the placed positions)
+    partials = [(0, [0] * n)]
+    table = []
+    for k in range(n):
+        least, kept = None, []
+        for placed, image in partials:
+            low, tied = None, []
+            for q in iter_points(full_set(n) & ~placed):
+                row = image[q] | ((1 << (rows[q] & ~placed).bit_count()) - 1) << k
+                if low is None or row < low:
+                    low, tied = row, [q]
+                elif row == low:
+                    tied.append(q)
+            if least is not None and low > least:
+                continue
+            if least is None or low < least:
+                least, kept = low, []
+            for i, q in enumerate(tied):
+                if any(_are_twins(rows, down, x, q) for x in tied[:i]):
+                    continue
+                grown = image[:]
+                for x in iter_points(down[q]):
+                    grown[x] |= 1 << k
+                kept.append((placed | 1 << q, grown))
+        table.append(least)
+        partials = kept
+    return tuple(table)
+
+
+def _are_twins(rows: tuple[int, ...], down: list[int], x: int, y: int) -> bool:
+    xy = 1 << x | 1 << y
+    return (
+        rows[x] | xy == rows[y] | xy
+        and down[x] | xy == down[y] | xy
+        and rows[x] >> y & 1 == rows[y] >> x & 1
+    )
 
 
 @lru_cache(maxsize=None)

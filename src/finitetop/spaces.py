@@ -115,7 +115,8 @@ class Topology:
         return self.is_open(a ^ full_set(self.n))
 
     def interior(self, a: int) -> int:
-        """Largest open set inside a."""
+        """Largest open set inside a; points outside the space are ignored."""
+        a &= full_set(self.n)
         m = 0
         for x in iter_points(a):
             if self.min_nbhd[x] & ~a == 0:

@@ -10,7 +10,10 @@ structural predicates by set-partition search, so agreement with
 production is evidence for the reductions rather than a restatement of
 them.  The topology count by filtering every subset family lives here too,
 and so does the backtracking homeomorphism search (find_homeomorphism,
-is_homeomorphic) that judges the census's canonical-form dedup.
+is_homeomorphic) that judges the census's least-table key.  The reference
+homeomorphism census (sweep_homeo_census) builds every labeled space and
+keeps the first of each cell-layout form, a key computed another way than
+production's least table over all bijections.
 
 The per-mask class formulas (CLASS_FORMULAS, is_in_class_per_mask) ask the
 space's own closure and interior about one mask at a time.  Production
@@ -20,12 +23,13 @@ scans whole classes on tables; these judge those scans.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterator, Optional
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from finitetop import SetFamily, Topology, alpha_topology, set_class
+from finitetop.census import enumerate_preorders
 from finitetop.covers import CONSTRAINTS
-from finitetop.spaces import complement, full_set, iter_points
+from finitetop.spaces import _down_sets, complement, from_preorder, full_set, iter_points
 
 FAMILY_PREDICATES = (
     "discrete",
@@ -248,6 +252,54 @@ def count_topologies_direct(n: int) -> int:
             if all((a | b) in fam and (a & b) in fam for a in fam for b in fam):
                 count += 1
     return count
+
+
+def sweep_homeo_census(n: int) -> tuple[Topology, ...]:
+    """The first space of each homeomorphism class in the labeled order,
+    by sweeping every labeled space."""
+    return tuple(_first_of_each_form(from_preorder(r) for r in enumerate_preorders(n)))
+
+
+def _first_of_each_form(stream: Iterable[Topology]) -> Iterator[Topology]:
+    seen: set[tuple[int, ...]] = set()
+    for t in stream:
+        form = canonical_form(t)
+        if form not in seen:
+            seen.add(form)
+            yield t
+
+
+def canonical_form(t: Topology) -> tuple[int, ...]:
+    """The least relabelled min_nbhd table among the cell-respecting relabellings.
+
+    Points are grouped into cells by their (up-set size, down-set size) pair
+    and the cells are laid out in the order of that pair; every relabelling
+    that permutes points within their cells is tried.  A homeomorphism keeps
+    both sizes, so homeomorphic spaces reach the same set of tables, and two
+    spaces with the same form are homeomorphic to it: the form is a complete
+    key, but not in general the least table over all bijections.
+    """
+    nbhd = t.min_nbhd
+    cells: dict[tuple[int, int], list[int]] = {}
+    for x, (up, down) in enumerate(zip(nbhd, _down_sets(nbhd))):
+        cells.setdefault((up.bit_count(), down.bit_count()), []).append(x)
+    return min(
+        _relabelled(nbhd, [x for block in blocks for x in block])
+        for blocks in product(*(permutations(cells[key]) for key in sorted(cells)))
+    )
+
+
+def least_relabelling(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The least table over all n! relabellings, every one built."""
+    return min(_relabelled(rows, order) for order in permutations(range(len(rows))))
+
+
+def _relabelled(rows: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
+    # the table with point order[i] moved to position i
+    image = [0] * len(rows)
+    for position, x in enumerate(order):
+        image[x] = position
+    return tuple(sum(1 << image[y] for y in iter_points(rows[x])) for x in order)
 
 
 def find_homeomorphism(t1: Topology, t2: Topology) -> Optional[tuple[int, ...]]:

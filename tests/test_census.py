@@ -16,17 +16,24 @@ from finitetop import (
 )
 from finitetop.census import (
     PropertyProfile,
-    canonical_form,
     census_records,
     enumerate_topologies,
     homeo_census,
+    homeo_tables,
     labeled_census,
+    least_table,
     record_to_obj,
 )
-from oracles import count_topologies_direct, is_homeomorphic
+from oracles import (
+    count_topologies_direct,
+    is_homeomorphic,
+    least_relabelling,
+    sweep_homeo_census,
+)
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
-HOMEO_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139}
+# OEIS A001930, topologies on n points up to homeomorphism
+HOMEO_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139, 6: 718, 7: 4535}
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -66,16 +73,48 @@ def test_every_labeled_space_has_exactly_one_representative(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_canonical_form_decides_homeomorphism(n):
+    # the key is the least table: every space of a class maps to the first
+    # space of the class in the labeled order
     groups: dict[tuple[int, ...], list] = {}
     for t in labeled_census(n):
-        groups.setdefault(canonical_form(t), []).append(t)
+        groups.setdefault(least_table(t.min_nbhd), []).append(t)
     firsts = [members[0] for members in groups.values()]
-    for members in groups.values():
+    for key, members in groups.items():
+        assert key == members[0].min_nbhd
         assert all(is_homeomorphic(t, members[0]) for t in members[1:])
     for i, rep1 in enumerate(firsts):
         for rep2 in firsts[i + 1:]:
             assert not is_homeomorphic(rep1, rep2)
     assert len(groups) == HOMEO_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_least_table_is_least_relabelling(n):
+    for t in labeled_census(n):
+        assert least_table(t.min_nbhd) == least_relabelling(t.min_nbhd)
+
+
+def test_least_table_is_least_relabelling_on_5_point_classes():
+    # every class's table relabelled by a point rotation, so that the
+    # search starts away from its answer
+    for rows in homeo_tables(5):
+        rotated = tuple(
+            sum(1 << (y + 1) % 5 for y in range(5) if rows[x] >> y & 1)
+            for x in (4, 0, 1, 2, 3)
+        )
+        assert least_table(rotated) == least_relabelling(rotated) == rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_extension_census_equals_labeled_sweep(n):
+    # table for table and in order, against the first space of each
+    # cell-layout form in the labeled sweep
+    assert [t.min_nbhd for t in homeo_census(n)] == [t.min_nbhd for t in sweep_homeo_census(n)]
+
+
+@pytest.mark.parametrize("n", sorted(HOMEO_COUNTS))
+def test_homeo_tables_follow_a001930(n):
+    assert len(homeo_tables(n)) == HOMEO_COUNTS[n]
 
 
 def test_enumeration_budget():

@@ -39,12 +39,16 @@ def object_text(fields):
 # and the compact-not-alpha-subparacompact search at commit 709e3b0; the
 # non-nodec search, the JSON g-closed search and the JSON 4-point verify, as
 # hand-written witness re-checks and the f-sigma-g-alpha-closed union scan
-# printed them, at commit 6418001); census files, space ids and report text
-# stay byte-identical
+# printed them, at commit 6418001; the 6-point homeomorphism census, as the
+# labeled sweep printed it, at commit ec4efe5); census files, space ids and
+# report text stay byte-identical
 PINNED_STDOUT_SHA256 = {
     "census --n 4": "e32541eee516ae3900ede709dd60c8f8ade0f2b2617885bde3650328ca3d8fcd",
     "census --n 5 --up-to-homeo": (
         "126b06574c9d1bc1cc2a2f25d41614f16c342ab1a5c4b5ffd4f84d75b67177e1"
+    ),
+    "census --n 6 --up-to-homeo": (
+        "a17b9b834f8fefba51aea81031244c55ced1a1855318ec87ac65621edbc1a752"
     ),
     "search --predicate gc-mismatch --max-n 4": (
         "1a6a8f068aa22ef730b2f31fb17bd74bdf46dc61b4611f1e35b7da63d4eeb19b"

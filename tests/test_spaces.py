@@ -245,6 +245,21 @@ def test_open_and_closed_tests_agree_with_opens(n):
             assert t.is_closed(a) == (a in closed), (t, a)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_interior_and_closure_ignore_points_outside_the_space(n):
+    # the largest open set inside a and the smallest closed set around it
+    # are those of a's points in the space; is_open rejects the mask
+    full = full_set(n)
+    outside = (1 << n, full | 1 << n, 1 << 20, (1 << 20) - 1, -1, -(1 << n))
+    for t in labeled_census(n):
+        for extra in outside:
+            for a in range(1 << n):
+                masked = a | extra
+                assert t.interior(masked) == t.interior(masked & full), (t, masked)
+                assert t.closure(masked) == t.closure(masked & full), (t, masked)
+                assert not t.is_open(masked), (t, masked)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(SIXTEEN_POINT_PRODUCTS))
 def test_upset_enumeration_matches_scan_at_16_points(name):
