@@ -32,7 +32,7 @@ from .spaces import (
     space_from_obj,
     space_to_json,
 )
-from .operators import alpha_topology, set_class
+from .operators import alpha_topology, set_class, table_scope
 from .covers import PROPERTY_TAGS, check_property
 
 MAX_LABELED_N = 5
@@ -110,16 +110,17 @@ def space_id(t: Topology) -> str:
 @lru_cache(maxsize=None)
 def profile(t: Topology) -> PropertyProfile:
     """All property booleans, class sizes, and the shared-class flags."""
-    ta = alpha_topology(t)
-    so = set_class(t, "semi-open")
-    sizes = {key: len(set_class(t, kind)) for key, kind in _SIZE_CLASS.items()}
-    sizes["alpha"] = len(ta.opens)
-    return PropertyProfile(
-        properties={tag: check_property(t, tag) for tag in PROPERTY_TAGS},
-        sizes=sizes,
-        gc_mismatch=set_class(t, "g-closed") != set_class(ta, "g-closed"),
-        so_eq_alpha=so == ta.opens,
-    )
+    with table_scope():
+        ta = alpha_topology(t)
+        so = set_class(t, "semi-open")
+        sizes = {key: len(set_class(t, kind)) for key, kind in _SIZE_CLASS.items()}
+        sizes["alpha"] = len(ta.opens)
+        return PropertyProfile(
+            properties={tag: check_property(t, tag) for tag in PROPERTY_TAGS},
+            sizes=sizes,
+            gc_mismatch=set_class(t, "g-closed") != set_class(ta, "g-closed"),
+            so_eq_alpha=so == ta.opens,
+        )
 
 
 # --- enumeration --------------------------------------------------------------

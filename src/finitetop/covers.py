@@ -202,7 +202,7 @@ def check_property(t: Topology, prop: str) -> bool:
         # the open hull of a closed set is the union of the minimal
         # neighborhoods of its points, and points of disjoint closed sets
         # have disjoint closures, so pairs of points decide it
-        closures = [t.closure(1 << x) for x in range(t.n)]
+        closures = t.point_closures
         return all(
             t.min_nbhd[x] & t.min_nbhd[y] == 0
             for x in range(t.n)

@@ -70,7 +70,7 @@ def map_predicate(f: SpaceMap, kind: str) -> bool:
     if kind == "open":
         return all(cod.is_open(f.image(u)) for u in dom.min_nbhd)
     if kind == "closed":
-        return all(cod.is_closed(f.image(dom.closure(1 << x))) for x in range(dom.n))
+        return all(cod.is_closed(f.image(c)) for c in dom.point_closures)
     if kind == "alpha-irresolute":
         return _order_preserving(f.fn, alpha_topology(dom), alpha_topology(cod))
     if kind == "surjective":

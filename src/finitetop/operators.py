@@ -1,19 +1,25 @@
 """Closure-type operators and set-class predicates.
 
-Each set class and each hull is stated once, as a formula over the lookups
-of one space: ``cl`` (closure), ``int_`` (interior) and ``hull`` (open
-hull), each a map from a mask to a mask, and the full set ``full``.  A
-question about one mask passes the ``Topology`` methods as the lookups.  A
-scan of every mask passes lookups into tables built for that scan alone,
-at one OR per entry:
+Each set class and each hull is stated once, as a formula that indexes the
+lookups of one space: ``cl`` (closure), ``int_`` (interior) and ``hull``
+(open hull), each taking a mask to a mask, and the full set ``full``.  A
+scan of every mask passes tables, lists indexed by mask, built at one OR
+per entry:
 
     cl[a] = cl[a minus x] | cl{x},  hull[a] = hull[a minus x] | U_x,
     int[a] = X minus cl[X minus a]
 
 for any point x of a, because closure and the open hull are finitely
-additive and the interior is dual to the closure.  The tables are locals
-of the scan and go with it.  Kept on the space or in a cache they would
-hold three 65536-entry lists for every 16-point space a sweep touches.
+additive and the interior is dual to the closure; cl{x} is the space's
+recorded point closure.  A question about one mask passes adapters whose
+``[]`` calls the ``Topology`` methods instead.
+
+A space's tables live in the innermost ``table_scope``.  A check opens one
+around its work on one space, so the scans and hull tables it asks of T
+and of T^α build each space's tables once, and the tables go when the
+check ends.  Outside any scope each scan builds its own and drops them.
+Kept on the space or in a cache they would hold three 65536-entry lists
+for every 16-point space a sweep touches.
 
 ``_FORMULAS`` holds each primal kind.  ``_DUALS`` names, for each dual
 kind, the primal kind whose formula holds on the complement (closed sets
@@ -45,7 +51,9 @@ two-sided check instead of a tautology.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from functools import lru_cache, partial
+from typing import Optional
 
 from .spaces import Topology, check_fits, complement, from_preorder, full_set
 
@@ -64,8 +72,8 @@ def alpha_topology(t: Topology) -> Topology:
     """
     n, nbhd = t.n, t.min_nbhd
     nowhere_dense = 0
-    for y in range(n):
-        if t.interior(t.closure(1 << y)) == 0:
+    for y, c in enumerate(t.point_closures):
+        if t.interior(c) == 0:
             nowhere_dense |= 1 << y
     table = tuple(nbhd[x] & ~nowhere_dense | 1 << x for x in range(n))
     if any(v & ~u for v, u in zip(table, nbhd)):  # pragma: no cover - guards a theorem
@@ -76,21 +84,67 @@ def alpha_topology(t: Topology) -> Topology:
         raise RuntimeError(f"alpha neighborhood table {table} is not a preorder: {exc}") from exc
 
 
+# the tables of each space asked for in the innermost open scope
+_SCOPE: ContextVar[Optional[dict]] = ContextVar("table_scope", default=None)
+
+
+class table_scope:
+    """Build each space's lookup tables at most once until the block ends.
+
+    Scopes nest: an inner scope starts empty, and the outer one is back when
+    the inner block ends, raising or not.
+    """
+
+    __slots__ = ("_token",)
+
+    def __enter__(self) -> None:
+        self._token = _SCOPE.set({})
+
+    def __exit__(self, *exc_info) -> None:
+        _SCOPE.reset(self._token)
+
+
+class _MethodLookup:
+    # indexing calls a Topology method, so a formula written over tables
+    # answers one mask
+    __slots__ = ("method",)
+
+    def __init__(self, method):
+        self.method = method
+
+    def __getitem__(self, a: int) -> int:
+        return self.method(a)
+
+
 def _method_lookups(t: Topology) -> tuple:
-    return t.closure, t.interior, t.open_hull, full_set(t.n)
+    return (
+        _MethodLookup(t.closure),
+        _MethodLookup(t.interior),
+        _MethodLookup(t.open_hull),
+        full_set(t.n),
+    )
 
 
 def _table_lookups(t: Topology) -> tuple:
+    scope = _SCOPE.get()
+    if scope is None:
+        return _build_tables(t)
+    tables = scope.get(t)
+    if tables is None:
+        tables = scope[t] = _build_tables(t)
+    return tables
+
+
+def _build_tables(t: Topology) -> tuple:
     # the masks whose highest point is x are the masks below x with x added
     cl, hull = [0], [0]
-    for x, u in enumerate(t.min_nbhd):
-        c = t.closure(1 << x)
+    for c, u in zip(t.point_closures, t.min_nbhd):
         cl += [m | c for m in cl]
         hull += [m | u for m in hull]
     full = full_set(t.n)
     # X minus a runs downward as a runs upward
     interior = [full ^ m for m in reversed(cl)]
-    return cl.__getitem__, interior.__getitem__, hull.__getitem__, full
+    return cl, interior, hull, full
 
 
 # closure/interior are the usual operators; semi-closure is the intersection
@@ -98,10 +152,10 @@ def _table_lookups(t: Topology) -> tuple:
 # of it is int(cl a) again, and every semi-closed c ⊇ a holds
 # int(cl c) ⊇ int(cl a); semi-interior is its dual, a ∩ cl(int a)
 _HULLS = {
-    "closure": lambda cl, int_, hull, full, a: cl(a),
-    "interior": lambda cl, int_, hull, full, a: int_(a),
-    "semi-closure": lambda cl, int_, hull, full, a: a | int_(cl(a)),
-    "semi-interior": lambda cl, int_, hull, full, a: a & cl(int_(a)),
+    "closure": lambda cl, int_, hull, full, a: cl[a],
+    "interior": lambda cl, int_, hull, full, a: int_[a],
+    "semi-closure": lambda cl, int_, hull, full, a: a | int_[cl[a]],
+    "semi-interior": lambda cl, int_, hull, full, a: a & cl[int_[a]],
 }
 
 HULL_KINDS = (
@@ -112,27 +166,27 @@ HULL_KINDS = (
 
 def _is_sg_closed(cl, int_, hull, full, a):
     # every point the semi-closure adds lies in each semi-open superset of a
-    extra = int_(cl(a)) & ~a
+    extra = int_[cl[a]] & ~a
     while extra:
         low = extra & -extra
-        if not a & int_(cl(low)):
+        if not a & int_[cl[low]]:
             return False
         extra ^= low
     return True
 
 
 _FORMULAS = {
-    "open": lambda cl, int_, hull, full, a: int_(a) == a,
-    "semi-open": lambda cl, int_, hull, full, a: a & ~cl(int_(a)) == 0,
-    "regular-open": lambda cl, int_, hull, full, a: a == int_(cl(a)),
-    "alpha-open": lambda cl, int_, hull, full, a: a & ~int_(cl(int_(a))) == 0,
-    "preopen": lambda cl, int_, hull, full, a: a & ~int_(cl(a)) == 0,
-    "beta-open": lambda cl, int_, hull, full, a: a & ~cl(int_(cl(a))) == 0,
-    "nowhere-dense": lambda cl, int_, hull, full, a: int_(cl(a)) == 0,
-    "dense": lambda cl, int_, hull, full, a: cl(a) == full,
-    "clopen": lambda cl, int_, hull, full, a: int_(a) == a == cl(a),
+    "open": lambda cl, int_, hull, full, a: int_[a] == a,
+    "semi-open": lambda cl, int_, hull, full, a: a & ~cl[int_[a]] == 0,
+    "regular-open": lambda cl, int_, hull, full, a: a == int_[cl[a]],
+    "alpha-open": lambda cl, int_, hull, full, a: a & ~int_[cl[int_[a]]] == 0,
+    "preopen": lambda cl, int_, hull, full, a: a & ~int_[cl[a]] == 0,
+    "beta-open": lambda cl, int_, hull, full, a: a & ~cl[int_[cl[a]]] == 0,
+    "nowhere-dense": lambda cl, int_, hull, full, a: int_[cl[a]] == 0,
+    "dense": lambda cl, int_, hull, full, a: cl[a] == full,
+    "clopen": lambda cl, int_, hull, full, a: int_[a] == a == cl[a],
     # the open hull is the least open superset, so it stands for them all
-    "g-closed": lambda cl, int_, hull, full, a: cl(a) & ~hull(a) == 0,
+    "g-closed": lambda cl, int_, hull, full, a: cl[a] & ~hull[a] == 0,
     "sg-closed": _is_sg_closed,
 }
 
@@ -207,8 +261,8 @@ def set_class(t: Topology, kind: str) -> tuple[int, ...]:
         return set_class(*_resolve(t, kind))
     if kind in _DUALS:
         # complementing reverses the ascending order of the partner's members
-        n = t.n
-        return tuple(complement(a, n) for a in reversed(set_class(t, _DUALS[kind])))
+        full = full_set(t.n)
+        return tuple([full ^ a for a in reversed(set_class(t, _DUALS[kind]))])
     if kind == "open":
         return t.opens
     return tuple(filter(partial(_FORMULAS[kind], *_table_lookups(t)), range(1 << t.n)))

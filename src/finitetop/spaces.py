@@ -6,10 +6,13 @@ capped at 16 every subset fits in one machine word.  A space is its
 minimal-neighborhood table: ``min_nbhd[x]`` is the smallest open set around
 x, which is also the up-set of x in the specialization preorder
 (Alexandroff's correspondence).  Every operator reduces to a few bit
-operations against that table, and the open sets are enumerated from it on
-demand, in time proportional to their number.  A whole-class scan of at
-most 65536 masks builds its own closure, interior and open-hull tables
-from this one (see ``operators``).
+operations against that table.  Each space also records its point
+closures: ``point_closures[x]`` is cl{x}, the down-set of x, filled in
+while the table is checked.  The open sets are the up-sets, enumerated
+from the table on demand by doubling over classes of equivalent points,
+in time proportional to their number.  A whole-class scan of at most 65536
+masks builds closure, interior and open-hull tables from the point
+closures and the table (see ``operators``).
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ class Topology:
     """An immutable finite topological space, identified by its table.
 
     ``min_nbhd[x]`` is the smallest open set containing point x; equality
-    and hashing use this table alone.  ``opens`` is the duplicate-free tuple
+    and hashing use this table alone.  ``point_closures[x]`` is the closure
+    of point x, the points whose minimal neighborhood holds x, recorded
+    when the space is built.  ``opens`` is the duplicate-free tuple
     of open sets in canonical order (ascending bitmask value), enumerated
     from the table on first use and cached.  Values can be shared freely
     across workers.
@@ -77,7 +82,7 @@ class Topology:
     ``from_preorder`` builds a space from its table.
     """
 
-    __slots__ = ("n", "min_nbhd", "_opens", "_hash")
+    __slots__ = ("n", "min_nbhd", "point_closures", "_opens", "_hash")
 
     def __init__(self, n: int, opens: Iterable[int]):
         if not 1 <= n <= MAX_POINTS:
@@ -89,15 +94,16 @@ class Topology:
         if not family or family[0] != 0 or family[-1] != full:
             raise ValueError("open family must contain the empty set and the full set")
         nbhd = _min_table(n, family)
-        regenerated = _upward_closed_sets(n, nbhd)
+        regenerated = _upward_closed_sets(nbhd)
         if regenerated != tuple(family):
             raise ValueError("open family is not closed under union/intersection")
         self.n, self.min_nbhd, self._opens, self._hash = n, nbhd, regenerated, hash(nbhd)
+        self.point_closures = tuple(_down_sets(nbhd))
 
     @property
     def opens(self) -> tuple[int, ...]:
         if self._opens is None:
-            self._opens = _upward_closed_sets(self.n, self.min_nbhd)
+            self._opens = _upward_closed_sets(self.min_nbhd)
         return self._opens
 
     def is_open(self, a: int) -> bool:
@@ -132,7 +138,9 @@ class Topology:
         return m
 
     def open_hull(self, a: int) -> int:
-        """Smallest open superset of a (unions of minimal neighborhoods)."""
+        """Smallest open superset of a (unions of minimal neighborhoods);
+        points outside the space are ignored."""
+        a &= full_set(self.n)
         m = a
         for x in iter_points(a):
             m |= self.min_nbhd[x]
@@ -157,22 +165,18 @@ def _min_table(n: int, family: Iterable[int]) -> tuple[int, ...]:
     return tuple(nbhd)
 
 
-def _upward_closed_sets(n: int, nbhd: tuple[int, ...]) -> tuple[int, ...]:
-    # nbhd must be transitive.  Decide the lowest undecided point x: either
-    # x is out, and with it every point whose neighborhood holds x, or x is
-    # in, and with it nbhd[x].  The points left undecided are unconstrained
-    # by the decided ones, so every leaf is one open set.
-    below = _down_sets(nbhd)
-    out = []
-    stack = [(full_set(n), 0)]
-    while stack:
-        undecided, chosen = stack.pop()
-        if not undecided:
-            out.append(chosen)
-            continue
-        x = (undecided & -undecided).bit_length() - 1
-        stack.append((undecided & ~below[x], chosen))
-        stack.append((undecided & ~nbhd[x], chosen | nbhd[x]))
+def _upward_closed_sets(nbhd: tuple[int, ...]) -> tuple[int, ...]:
+    # nbhd must be transitive.  Points with one neighborhood form a class C
+    # with up-set U_C.  Every class strictly above C has a smaller up-set, so
+    # taking classes by up-set size, the up-sets within the classes taken so
+    # far double: each is kept, and each holding U_C minus C also gains C.
+    classes: dict[int, int] = {}
+    for x, up in enumerate(nbhd):
+        classes[up] = classes.get(up, 0) | 1 << x
+    out = [0]
+    for up, cls in sorted(classes.items(), key=lambda item: item[0].bit_count()):
+        above = up & ~cls
+        out += [s | cls for s in out if not above & ~s]
     out.sort()
     return tuple(out)
 
@@ -273,6 +277,7 @@ def from_preorder(rows: tuple[int, ...]) -> Topology:
     n = len(rows)
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
+    closures = [0] * n
     for x, row in enumerate(rows):
         check_fits(row, n)
         if not row >> x & 1:
@@ -280,8 +285,10 @@ def from_preorder(rows: tuple[int, ...]) -> Topology:
         for y in iter_points(row):
             if rows[y] & ~row:
                 raise ValueError("relation is not transitive")
+            closures[y] |= 1 << x
     t = object.__new__(Topology)
     t.n, t.min_nbhd, t._opens, t._hash = n, rows, None, hash(rows)
+    t.point_closures = tuple(closures)
     return t
 
 

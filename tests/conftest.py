@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import strategies as st
 
-from finitetop import build_topology, discrete, product
+from finitetop import build_topology, discrete, operators, product
 
 
 @pytest.fixture
@@ -15,6 +17,20 @@ def one_open_point():
 def sier():
     """Two-point space with one open point."""
     return build_topology(2, [0b01])
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts, per space, the closure/interior/open-hull table builds."""
+    builds = Counter()
+    build = operators._build_tables
+
+    def counting(t):
+        builds[t] += 1
+        return build(t)
+
+    monkeypatch.setattr(operators, "_build_tables", counting)
+    return builds
 
 
 @st.composite

@@ -15,6 +15,10 @@ homeomorphism census (sweep_homeo_census) builds every labeled space and
 keeps the first of each cell-layout form, a key computed another way than
 production's least table over all bijections.
 
+The open sets by depth-first search (upward_closed_sets_dfs) decide one
+point at a time, in or out, and judge production's doubling over classes
+of equivalent points.
+
 The per-mask class formulas (CLASS_FORMULAS, is_in_class_per_mask) ask the
 space's own closure and interior about one mask at a time.  Production
 states each formula once over closure, interior and open-hull lookups and
@@ -237,6 +241,29 @@ def _union_without(chosen: list[int], skip: int) -> int:
 
 
 # --- census and homeomorphism ------------------------------------------------
+
+def upward_closed_sets_dfs(n: int, nbhd: tuple[int, ...]) -> tuple[int, ...]:
+    """Every up-set of a transitive table, ascending, by depth-first search.
+
+    Decide the lowest undecided point x: either x is out, and with it every
+    point whose neighborhood holds x, or x is in, and with it nbhd[x].  The
+    points left undecided are unconstrained by the decided ones, so every
+    leaf is one open set.
+    """
+    below = _down_sets(nbhd)
+    out = []
+    stack = [(full_set(n), 0)]
+    while stack:
+        undecided, chosen = stack.pop()
+        if not undecided:
+            out.append(chosen)
+            continue
+        x = (undecided & -undecided).bit_length() - 1
+        stack.append((undecided & ~below[x], chosen))
+        stack.append((undecided & ~nbhd[x], chosen | nbhd[x]))
+    out.sort()
+    return tuple(out)
+
 
 def count_topologies_direct(n: int) -> int:
     """Filter every subset family for closure under union/intersection.

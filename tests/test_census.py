@@ -6,11 +6,13 @@ import json
 import pytest
 
 from finitetop import (
+    alpha_topology,
     build_topology,
     discrete,
     indiscrete,
     profile,
     read_census,
+    set_class,
     space_id,
     write_census,
 )
@@ -149,6 +151,16 @@ def test_profile_of_indiscrete():
     prof = profile(indiscrete(3))
     assert prof.properties["nodec"]
     assert not prof.gc_mismatch
+
+
+def test_profile_builds_the_space_tables_once(table_builds):
+    for t in labeled_census(4):
+        set_class.cache_clear()
+        table_builds.clear()
+        profile.__wrapped__(t)
+        assert table_builds[t] == 1, t
+        assert set(table_builds) <= {t, alpha_topology(t)}, t
+        assert max(table_builds.values()) == 1, t
 
 
 @pytest.mark.parametrize("n", [2, 3])

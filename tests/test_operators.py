@@ -20,6 +20,7 @@ from finitetop import (
     set_class,
 )
 from finitetop.census import labeled_census
+from finitetop.operators import _SCOPE, _table_lookups, table_scope
 from finitetop.spaces import complement, full_set
 from oracles import class_scan_per_mask
 
@@ -446,6 +447,65 @@ def test_class_scan_tables_do_not_outlive_the_scan():
         tracemalloc.stop()
     result = sys.getsizeof(members) + sum(sys.getsizeof(a) for a in members)
     assert retained - result < sys.getsizeof([0] * (1 << t.n))
+
+
+def _scans(spaces, class_kinds, hull_kinds):
+    # every class and hull table asked for, with no class answered from the cache
+    set_class.cache_clear()
+    return (
+        {(s, kind): set_class(s, kind) for s in spaces for kind in class_kinds},
+        {(s, kind): hull_table(s, kind) for s in spaces for kind in hull_kinds},
+    )
+
+
+def test_scans_in_one_scope_match_scans_outside():
+    # one scope over every space with n <= 4 and its α-refinement: a scope
+    # that hands one space another's tables breaks the scans
+    spaces = [s for n in (1, 2, 3, 4) for t in labeled_census(n) for s in (t, alpha_topology(t))]
+    with table_scope():
+        inside = _scans(spaces, CLASS_KINDS, HULL_KINDS)
+    assert inside == _scans(spaces, CLASS_KINDS, HULL_KINDS)
+    for (s, kind), members in inside[0].items():
+        assert members == class_scan_per_mask(s, kind), (s, kind)
+
+
+def test_scans_in_one_scope_match_scans_outside_at_16_points():
+    spaces = [build() for _, build in sorted(SIXTEEN_POINT_PRODUCTS.items())]
+    with table_scope():
+        inside = _scans(spaces, CHEAP_KINDS, ())
+    assert inside == _scans(spaces, CHEAP_KINDS, ())
+    for (s, kind), members in inside[0].items():
+        assert members == class_scan_per_mask(s, kind), kind
+
+
+def test_scope_tables_do_not_outlive_the_scope():
+    # as test_class_scan_tables_do_not_outlive_the_scan, measured after the
+    # scope that held the tables has ended
+    t = SIXTEEN_POINT_PRODUCTS["sparse-alpha"]()
+    set_class.cache_clear()  # a growing cache dict would resize mid-measure
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with table_scope():
+            members = set_class(t, "semi-open")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    result = sys.getsizeof(members) + sum(sys.getsizeof(a) for a in members)
+    assert retained - result < sys.getsizeof([0] * (1 << t.n))
+
+
+def test_nested_scope_restores_the_outer_one_when_it_raises(one_open_point):
+    t = one_open_point
+    with table_scope():
+        outer = _table_lookups(t)
+        with pytest.raises(KeyError):
+            with table_scope():
+                assert _table_lookups(t) is not outer
+                raise KeyError(t)
+        assert _table_lookups(t) is outer
+    assert _SCOPE.get() is None
+    assert _table_lookups(t) is not _table_lookups(t)
 
 
 def test_g_alpha_kinds_share_one_cached_tuple():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import SIXTEEN_POINT_PRODUCTS, topologies, topology_and_subset
 from finitetop import (
     Topology,
+    alpha_topology,
     build_topology,
     complement,
     discrete,
@@ -19,9 +20,9 @@ from finitetop import (
     space_to_json,
     subspace,
 )
-from finitetop.census import enumerate_preorders, labeled_census
-from finitetop.spaces import full_set, iter_points, mask_of, set_text
-from oracles import find_homeomorphism, is_homeomorphic
+from finitetop.census import enumerate_preorders, enumerate_topologies, labeled_census
+from finitetop.spaces import full_set, iter_points, mask_of, set_text, space_from_obj, space_to_obj
+from oracles import find_homeomorphism, is_homeomorphic, upward_closed_sets_dfs
 
 
 def close_family(masks, n):
@@ -226,6 +227,42 @@ def test_round_trip_identity_both_directions(n):
         assert from_preorder(r).min_nbhd == r
 
 
+def _assert_point_closures_recorded(t):
+    assert t.point_closures == tuple(t.closure(1 << x) for x in range(t.n)), t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_point_closures_are_recorded_by_every_constructor(n):
+    full = full_set(n)
+    for t in labeled_census(n):  # from_preorder
+        for built in (
+            t,
+            Topology(n, t.opens),
+            build_topology(n, t.opens),
+            alpha_topology(t),
+            space_from_obj(space_to_obj(t)),
+            space_from_obj(space_to_obj(t), complete=True),
+            product(t, t),
+        ):
+            _assert_point_closures_recorded(built)
+        for a in range(1, full + 1):
+            _assert_point_closures_recorded(subspace(t, a)[0])
+    for t in enumerate_topologies(n, up_to_homeo=True):  # homeo_tables
+        _assert_point_closures_recorded(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_upset_doubling_matches_depth_first_oracle(n):
+    for r in enumerate_preorders(n):
+        assert from_preorder(r).opens == upward_closed_sets_dfs(n, r), r
+
+
+@pytest.mark.parametrize("name", sorted(SIXTEEN_POINT_PRODUCTS))
+def test_upset_doubling_matches_depth_first_oracle_at_16_points(name):
+    t = SIXTEEN_POINT_PRODUCTS[name]()
+    assert t.opens == upward_closed_sets_dfs(16, t.min_nbhd)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_upset_enumeration_matches_scan(n):
     for r in enumerate_preorders(n):
@@ -247,8 +284,8 @@ def test_open_and_closed_tests_agree_with_opens(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_interior_and_closure_ignore_points_outside_the_space(n):
-    # the largest open set inside a and the smallest closed set around it
-    # are those of a's points in the space; is_open rejects the mask
+    # the largest open set inside a and the smallest closed and open sets
+    # around it are those of a's points in the space; is_open rejects the mask
     full = full_set(n)
     outside = (1 << n, full | 1 << n, 1 << 20, (1 << 20) - 1, -1, -(1 << n))
     for t in labeled_census(n):
@@ -257,6 +294,7 @@ def test_interior_and_closure_ignore_points_outside_the_space(n):
                 masked = a | extra
                 assert t.interior(masked) == t.interior(masked & full), (t, masked)
                 assert t.closure(masked) == t.closure(masked & full), (t, masked)
+                assert t.open_hull(masked) == t.open_hull(masked & full), (t, masked)
                 assert not t.is_open(masked), (t, masked)
 
 

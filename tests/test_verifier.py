@@ -2,7 +2,7 @@
 
 import pytest
 
-from finitetop import SetFamily, discrete, product, run_suite, search
+from finitetop import SetFamily, alpha_topology, discrete, product, run_suite, search, set_class
 from finitetop.census import labeled_census
 from oracles import (
     every_cover_has_refinement_exhaustive,
@@ -20,6 +20,23 @@ from finitetop.verifier import (
 
 def test_every_suite_has_a_description():
     assert set(SUITE_DESCRIPTIONS) == set(SUITE_TAGS)
+
+
+def test_one_check_builds_each_space_tables_once(table_builds):
+    # a per-space suite on one space touches T and T^α, and the scope it
+    # opens shares their tables across every scan and hull table it asks for
+    built = 0
+    for suite in SUITE_TAGS:
+        if suite == "thm-fm1":
+            continue
+        for t in labeled_census(4):
+            set_class.cache_clear()
+            table_builds.clear()
+            run_suite(suite, (t,))
+            assert set(table_builds) <= {t, alpha_topology(t)}, (suite, t)
+            assert max(table_builds.values(), default=0) <= 1, (suite, t)
+            built += sum(table_builds.values())
+    assert built > 0
 
 
 def test_lemma_21_over_three_point_census():
