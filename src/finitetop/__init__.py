@@ -25,15 +25,7 @@ from .operators import (
     is_in_class,
     set_class,
 )
-from .covers import (
-    CONSTRAINTS,
-    PROPERTY_TAGS,
-    SetFamily,
-    check_property,
-    every_cover_has_refinement,
-    has_refinement,
-    property_reason,
-)
+from .covers import PROPERTY_TAGS, check_property, property_reason
 from .maps import MAP_KINDS, SpaceMap, enumerate_maps, map_predicate, verify_fm1
 from .census import (
     CensusRecord,

@@ -1,30 +1,21 @@
-"""Cover predicates, refinement search, and covering-property checkers.
+"""Covering and separation properties of finite spaces.
 
-The refinement search leans on three finite-space reductions:
-
-* the minimal-neighborhood cover of a point-intersection-closed class
-  (open or alpha-open) refines every cover drawn from that class, so one
-  cover stands in for all of them;
-* every finite family is sigma-discrete (partition into singletons),
-  locally finite, locally countable, and sigma-closure-preserving, so those
-  side conditions never constrain the search;
-* a refinement drawn from a class exists iff the union of all class members
-  that fit inside some cover member already covers (or is dense in) the
-  space.
-
-The definitional oracle, which searches irredundant covers and candidate
-subfamilies outright and decides the structural predicates by set-partition
-search, lives in the test suite (tests/oracles.py).  Its agreement with this
-module on every 3-point space is part of the acceptance suite.
+Two finite-space reductions decide the three refinement properties: the
+minimal neighbourhoods of T (or of T^α) form an open (alpha-open) cover
+that refines every other, and every finite family is sigma-discrete,
+locally finite and sigma-closure-preserving.  So a closed (open)
+refinement exists iff the closed (open) sets that fit inside some
+neighbourhood cover the space, and ``check_property`` scans one table.
+The general cover and constraint reduction, and the exhaustive search
+that judges it and the constants below, live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .spaces import Topology, check_fits, full_set
+from .spaces import Topology, full_set
 from .operators import alpha_topology, set_class
 
 PROPERTY_TAGS = (
@@ -48,106 +39,6 @@ PROPERTY_TAGS = (
     "alpha-compact",
 )
 
-# constraint tag -> (member class, union may be merely dense); the structural
-# side conditions named in each tag hold for every finite family
-CONSTRAINTS = {
-    "closed+sigma-discrete": ("closed", False),
-    "open+locally-finite": ("open", False),
-    "closed+sigma-closure-preserving": ("closed", False),
-    "semi-open+locally-finite+dense-union": ("semi-open", True),
-    "regular-closed+locally-finite": ("regular-closed", False),
-    "regular-closed+locally-countable": ("regular-closed", False),
-}
-
-# cover classes with a unique minimal member at every point
-_POINT_MINIMAL_KINDS = ("open", "alpha-open")
-
-
-@dataclass(frozen=True)
-class SetFamily:
-    """An ordered family of distinct subsets of one space."""
-
-    n: int
-    members: tuple[int, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        for m in self.members:
-            check_fits(m, self.n)
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("duplicate members")
-
-    def union(self) -> int:
-        out = 0
-        for m in self.members:
-            out |= m
-        return out
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def covers_space(t: Topology, f: SetFamily) -> bool:
-    return f.union() == full_set(t.n)
-
-
-# --- canonical covers --------------------------------------------------------
-
-def canonical_cover(t: Topology, kind: str) -> SetFamily:
-    """Deduplicated family of minimal class neighborhoods, one per point.
-
-    Only defined for classes with a unique minimal member at each point;
-    the result refines every cover drawn from that class.
-    """
-    if kind == "open":
-        nbhd = t.min_nbhd
-    elif kind == "alpha-open":
-        nbhd = alpha_topology(t).min_nbhd
-    else:
-        raise ValueError(f"no canonical cover for class {kind!r}")
-    return SetFamily(t.n, tuple(sorted(set(nbhd))), label=f"minimal-{kind}-cover")
-
-
-# --- refinement search -------------------------------------------------------
-
-def has_refinement(t: Topology, cover: SetFamily, constraint: str) -> bool:
-    """Does some family from the constraint class refine cover and cover X?
-
-    For the dense-union constraint the refinement's union only needs to be
-    dense.  The test is whether the union of all class members inside some
-    cover member covers.
-    """
-    if t.n != cover.n:
-        raise ValueError("cover and space have different point counts")
-    if not covers_space(t, cover):
-        raise ValueError("input family does not cover the space")
-    if constraint not in CONSTRAINTS:
-        raise ValueError(f"unknown refinement constraint {constraint!r}")
-    class_kind, dense = CONSTRAINTS[constraint]
-    reach = 0
-    for c in set_class(t, class_kind):
-        if any(c & ~u == 0 for u in cover.members):
-            reach |= c
-    full = full_set(t.n)
-    return (t.closure(reach) == full) if dense else (reach == full)
-
-
-def every_cover_has_refinement(t: Topology, cover_kind: str, constraint: str) -> bool:
-    """Does every cover drawn from cover_kind admit a constrained refinement?"""
-    if constraint not in CONSTRAINTS:
-        raise ValueError(f"unknown refinement constraint {constraint!r}")
-    if cover_kind in _POINT_MINIMAL_KINDS:
-        return has_refinement(t, canonical_cover(t, cover_kind), constraint)
-    class_kind, _ = CONSTRAINTS[constraint]
-    if class_kind != cover_kind:
-        raise ValueError(f"no reduction for {cover_kind!r} covers with {constraint!r}")
-    # every cover refines itself, stays in the class, and its union is
-    # the whole space; the structural side conditions are finite-vacuous
-    return True
-
-
-# --- covering properties ------------------------------------------------------
-
 FINITE_SPACE_REASONS = {
     "compact": "every cover of a finite space is finite and is its own subcover",
     "semi-compact": "every semi-open cover of a finite space is its own finite subcover",
@@ -162,10 +53,31 @@ FINITE_SPACE_REASONS = {
     "alpha-compact": "the alpha-refinement is again a finite space, so it is compact",
 }
 
+# Verdicts inside the law suites that a finite-space theorem fixes, each
+# True on every finite space for the reason beside it.
+# thm-2.2 (b)/(c): a regular-closed cover is its own locally finite refinement
+REGULAR_CLOSED_REFINABLE = True
+# thm-final: the minimal open cover is a finite open refinement of every open cover
+PARACOMPACT = True
+# lemma-lfm1: a finite family is the union of its one-member subfamilies, each discrete
+SIGMA_DISCRETE = True
+# lemma-lfm1: a finite family is closure-preserving, closure being finitely additive
+SIGMA_CLOSURE_PRESERVING = True
+
 
 def property_reason(prop: str) -> Optional[str]:
     """Reason code when a property is a finite-space theorem, else None."""
     return FINITE_SPACE_REASONS.get(prop)
+
+
+def _table_refined_by(t: Topology, table: tuple[int, ...], kind: str) -> bool:
+    """Do the members of t's kind class inside some row of table cover t?"""
+    rows = sorted(set(table))
+    reach = 0
+    for c in set_class(t, kind):
+        if any(c & ~u == 0 for u in rows):
+            reach |= c
+    return reach == full_set(t.n)
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +86,10 @@ def check_property(t: Topology, prop: str) -> bool:
 
     Finite-subcover and countable-subcover properties are identically true
     on finite spaces (see FINITE_SPACE_REASONS); they are still exposed so
-    the shared-property equivalences stay executable as stated.
+    the shared-property equivalences stay executable as stated.  Every open
+    (alpha-open) cover is refined by the minimal neighbourhoods of T (T^α),
+    so subparacompactness, alpha-subparacompactness and alpha-paracompactness
+    each scan one of those tables for the closed or open sets inside a row.
     """
     if prop not in PROPERTY_TAGS:
         raise ValueError(f"unknown property {prop!r}")
@@ -183,11 +98,11 @@ def check_property(t: Topology, prop: str) -> bool:
     if prop in FINITE_SPACE_REASONS:
         return True
     if prop == "subparacompact":
-        return every_cover_has_refinement(t, "open", "closed+sigma-discrete")
+        return _table_refined_by(t, t.min_nbhd, "closed")
     if prop == "alpha-subparacompact":
-        return every_cover_has_refinement(t, "alpha-open", "closed+sigma-discrete")
+        return _table_refined_by(t, alpha_topology(t).min_nbhd, "closed")
     if prop == "alpha-paracompact":
-        return every_cover_has_refinement(t, "alpha-open", "open+locally-finite")
+        return _table_refined_by(t, alpha_topology(t).min_nbhd, "open")
     if prop == "extremally-disconnected":
         # closure is finitely additive, so the closures of the minimal
         # neighborhoods decide it for every open set

@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
-from finitetop import build_topology, discrete, operators, product
+from finitetop import build_topology, check_property, discrete, operators, product
+from finitetop.covers import PARACOMPACT, REGULAR_CLOSED_REFINABLE
 
 
 @pytest.fixture
@@ -60,3 +61,30 @@ SIXTEEN_POINT_PRODUCTS = {
     "question1-witness": lambda: product(_SQUARE_FAILS_4, _SQUARE_FAILS_4),
     "sparse-alpha": lambda: product(_ONE_OPEN_POINT_4, _CHAIN_4),
 }
+
+
+def _property(prop):
+    return lambda t: check_property(t, prop)
+
+
+# cover class and refinement constraint, as the oracles take them -> the
+# verdict production gives a space: a covering property, or a constant that
+# a finite-space theorem fixes
+MODE_PAIRS = {
+    ("alpha-open", "closed+sigma-discrete"): _property("alpha-subparacompact"),
+    ("open", "closed+sigma-discrete"): _property("subparacompact"),
+    ("alpha-open", "open+locally-finite"): _property("alpha-paracompact"),
+    # lemma-lfm1: the sigma-closure-preserving side is the same verdict
+    ("alpha-open", "closed+sigma-closure-preserving"): _property("alpha-subparacompact"),
+    ("semi-open", "semi-open+locally-finite+dense-union"): _property("para-s-closed"),
+    ("regular-closed", "regular-closed+locally-finite"): lambda t: REGULAR_CLOSED_REFINABLE,
+    ("regular-closed", "regular-closed+locally-countable"): _property("para-rc-lindelof"),
+    ("open", "open+locally-finite"): lambda t: PARACOMPACT,
+}
+
+# the pairs whose production verdict scans a minimal-neighbourhood table
+SCANNED_PAIRS = [
+    ("open", "closed+sigma-discrete"),
+    ("alpha-open", "closed+sigma-discrete"),
+    ("alpha-open", "open+locally-finite"),
+]

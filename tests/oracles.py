@@ -1,14 +1,17 @@
-"""Definitional oracles for the covering machinery in finitetop.covers.
+"""Definitional oracles for finitetop, and the reductions they judge.
 
-Production decides refinements by finite-space reductions: one minimal
-cover stands in for every cover of a point-intersection-closed class, the
-structural side conditions hold for every finite family, and a refinement
-exists iff the union of the fitting class members covers.  The oracles here
-use none of those reductions.  They search every irredundant cover and
-every candidate subfamily outright, and decide the sigma variants of the
-structural predicates by set-partition search, so agreement with
-production is evidence for the reductions rather than a restatement of
-them.  The topology count by filtering every subset family lives here too,
+Production decides its three refinement properties by scanning one
+minimal-neighbourhood table (finitetop.covers.check_property).  The
+general cover and constraint reduction behind that scan lives here
+(SetFamily, canonical_cover, has_refinement, every_cover_has_refinement):
+one minimal cover stands in for every cover of a point-intersection-closed
+class, the structural side conditions hold for every finite family, and a
+refinement exists iff the union of the fitting class members covers.  The
+exhaustive oracles use none of those reductions.  They search every
+irredundant cover and every candidate subfamily outright, and decide the
+sigma variants of the structural predicates by set-partition search, so
+agreement with the reduction and with production is evidence for the
+reductions rather than a restatement of them.  The topology count by filtering every subset family lives here too,
 and so does the backtracking homeomorphism search (find_homeomorphism,
 is_homeomorphic) that judges the census's least-table key.  The reference
 homeomorphism census (sweep_homeo_census) builds every labeled space and
@@ -27,13 +30,62 @@ scans whole classes on tables; these judge those scans.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from finitetop import SetFamily, Topology, alpha_topology, set_class
+from finitetop import Topology, alpha_topology, set_class
 from finitetop.census import enumerate_preorders
-from finitetop.covers import CONSTRAINTS
-from finitetop.spaces import _down_sets, complement, from_preorder, full_set, iter_points
+from finitetop.spaces import (
+    _down_sets,
+    check_fits,
+    complement,
+    from_preorder,
+    full_set,
+    iter_points,
+)
+
+@dataclass(frozen=True)
+class SetFamily:
+    """An ordered family of distinct subsets of one space."""
+
+    n: int
+    members: tuple[int, ...]
+    label: str = ""
+
+    def __post_init__(self):
+        for m in self.members:
+            check_fits(m, self.n)
+        if len(set(self.members)) != len(self.members):
+            raise ValueError("duplicate members")
+
+    def union(self) -> int:
+        out = 0
+        for m in self.members:
+            out |= m
+        return out
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+def covers_space(t: Topology, f: SetFamily) -> bool:
+    return f.union() == full_set(t.n)
+
+
+# constraint tag -> (member class, union may be merely dense); the structural
+# side conditions named in each tag hold for every finite family
+CONSTRAINTS = {
+    "closed+sigma-discrete": ("closed", False),
+    "open+locally-finite": ("open", False),
+    "closed+sigma-closure-preserving": ("closed", False),
+    "semi-open+locally-finite+dense-union": ("semi-open", True),
+    "regular-closed+locally-finite": ("regular-closed", False),
+    "regular-closed+locally-countable": ("regular-closed", False),
+}
+
+# cover classes with a unique minimal member at every point
+_POINT_MINIMAL_KINDS = ("open", "alpha-open")
 
 FAMILY_PREDICATES = (
     "discrete",
@@ -169,12 +221,65 @@ def _closure_preserving_exact(t: Topology, members: tuple[int, ...]) -> bool:
     return True
 
 
+# --- the cover and constraint reduction -------------------------------------
+
+def canonical_cover(t: Topology, kind: str) -> SetFamily:
+    """Deduplicated family of minimal class neighborhoods, one per point.
+
+    Only defined for classes with a unique minimal member at each point;
+    the result refines every cover drawn from that class.
+    """
+    if kind == "open":
+        nbhd = t.min_nbhd
+    elif kind == "alpha-open":
+        nbhd = alpha_topology(t).min_nbhd
+    else:
+        raise ValueError(f"no canonical cover for class {kind!r}")
+    return SetFamily(t.n, tuple(sorted(set(nbhd))), label=f"minimal-{kind}-cover")
+
+
+def has_refinement(t: Topology, cover: SetFamily, constraint: str) -> bool:
+    """Does some family from the constraint class refine cover and cover X?
+
+    For the dense-union constraint the refinement's union only needs to be
+    dense.  The test is whether the union of all class members inside some
+    cover member covers.
+    """
+    if t.n != cover.n:
+        raise ValueError("cover and space have different point counts")
+    if not covers_space(t, cover):
+        raise ValueError("input family does not cover the space")
+    if constraint not in CONSTRAINTS:
+        raise ValueError(f"unknown refinement constraint {constraint!r}")
+    class_kind, dense = CONSTRAINTS[constraint]
+    reach = 0
+    for c in set_class(t, class_kind):
+        if any(c & ~u == 0 for u in cover.members):
+            reach |= c
+    full = full_set(t.n)
+    return (t.closure(reach) == full) if dense else (reach == full)
+
+
+def every_cover_has_refinement(t: Topology, cover_kind: str, constraint: str) -> bool:
+    """Does every cover drawn from cover_kind admit a constrained refinement?"""
+    if constraint not in CONSTRAINTS:
+        raise ValueError(f"unknown refinement constraint {constraint!r}")
+    if cover_kind in _POINT_MINIMAL_KINDS:
+        return has_refinement(t, canonical_cover(t, cover_kind), constraint)
+    class_kind, _ = CONSTRAINTS[constraint]
+    if class_kind != cover_kind:
+        raise ValueError(f"no reduction for {cover_kind!r} covers with {constraint!r}")
+    # every cover refines itself, stays in the class, and its union is
+    # the whole space; the structural side conditions are finite-vacuous
+    return True
+
+
 # --- exhaustive refinement search --------------------------------------------
 
 def has_refinement_exhaustive(
     t: Topology, cover: SetFamily, constraint: str, want_witness: bool = False
 ):
-    """finitetop.covers.has_refinement by search over candidate subfamilies,
+    """has_refinement by search over candidate subfamilies,
     with the structural predicates in their definitional forms."""
     class_kind, dense = CONSTRAINTS[constraint]
     preds = CONSTRAINT_PREDICATES[constraint]
@@ -208,7 +313,7 @@ def _refine_exhaustive(t, candidates, preds, dense):
 def every_cover_has_refinement_exhaustive(
     t: Topology, cover_kind: str, constraint: str
 ) -> bool:
-    """finitetop.covers.every_cover_has_refinement over every irredundant cover."""
+    """every_cover_has_refinement over every irredundant cover."""
     return all(
         has_refinement_exhaustive(t, cover, constraint)
         for cover in irredundant_covers(t, cover_kind)

@@ -9,9 +9,9 @@ import functools
 import io
 import time
 
+from conftest import MODE_PAIRS
 from finitetop import (
     build_topology,
-    has_refinement,
     profile,
     read_census,
     run_suite,
@@ -19,11 +19,14 @@ from finitetop import (
     write_census,
 )
 from finitetop.census import census_records, homeo_census, labeled_census
-from finitetop.covers import CONSTRAINTS, canonical_cover, every_cover_has_refinement
 from finitetop.verifier import search_counts, witness_to_obj
 from oracles import (
+    CONSTRAINTS,
+    canonical_cover,
     count_topologies_direct,
+    every_cover_has_refinement,
     every_cover_has_refinement_exhaustive,
+    has_refinement,
     has_refinement_exhaustive,
     irredundant_covers,
 )
@@ -38,15 +41,6 @@ COVERING_SUITES = (
     "thm-2.3",
     "thm-t29",
     "subpara-implication",
-)
-MODE_PAIRS = (
-    ("alpha-open", "closed+sigma-discrete"),
-    ("open", "closed+sigma-discrete"),
-    ("alpha-open", "open+locally-finite"),
-    ("alpha-open", "closed+sigma-closure-preserving"),
-    ("semi-open", "semi-open+locally-finite+dense-union"),
-    ("regular-closed", "regular-closed+locally-finite"),
-    ("regular-closed", "regular-closed+locally-countable"),
 )
 
 
@@ -100,11 +94,12 @@ def report_e31_analog_profile():
 def report_mode_agreement():
     lines = []
     for t in labeled_census(3):
-        for cover_kind, constraint in MODE_PAIRS:
+        for (cover_kind, constraint), production in MODE_PAIRS.items():
+            p = production(t)
             s = every_cover_has_refinement(t, cover_kind, constraint)
             e = every_cover_has_refinement_exhaustive(t, cover_kind, constraint)
-            lines.append(f"{cover_kind}/{constraint}: {s} {e}")
-            assert s == e, (t, cover_kind, constraint)
+            lines.append(f"{cover_kind}/{constraint}: {p} {s} {e}")
+            assert p == s == e, (t, cover_kind, constraint)
         for cover in irredundant_covers(t, "alpha-open"):
             for constraint in CONSTRAINTS:
                 s = has_refinement(t, cover, constraint)

@@ -40,8 +40,10 @@ def object_text(fields):
 # non-nodec search, the JSON g-closed search and the JSON 4-point verify, as
 # hand-written witness re-checks and the f-sigma-g-alpha-closed union scan
 # printed them, at commit 6418001; the 6-point homeomorphism census, as the
-# labeled sweep printed it, at commit ec4efe5); census files, space ids and
-# report text stay byte-identical
+# labeled sweep printed it, at commit ec4efe5; the 5-point verify, as the
+# refinement search over canonical covers decided its covering suites, at
+# commit f1c7193); census files, space ids and report text stay
+# byte-identical
 PINNED_STDOUT_SHA256 = {
     "census --n 4": "e32541eee516ae3900ede709dd60c8f8ade0f2b2617885bde3650328ca3d8fcd",
     "census --n 5 --up-to-homeo": (
@@ -54,6 +56,7 @@ PINNED_STDOUT_SHA256 = {
         "1a6a8f068aa22ef730b2f31fb17bd74bdf46dc61b4611f1e35b7da63d4eeb19b"
     ),
     "verify --n 4 --suite all": "bfbdef6fb05078d46e34276745a236dc98b8fcd52471b3d576f32f75f2e15594",
+    "verify --n 5 --suite all": "c87b070c383bcb8cc84ba76cdc2ff3af5c5b82a1d60997b1135ddfad24a33bd6",
     "search --predicate question1-witness --max-n 3": (
         "58d58d1922fed8df6f54e5067b389ba2efcaa14b1a1815d3fe9085f039cba61a"
     ),

@@ -1,43 +1,41 @@
-"""Family predicates, the refinement search against its oracle, and covering properties."""
+"""Family predicates, the refinement reduction against its oracle, and covering properties."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import topologies
+from conftest import MODE_PAIRS, SCANNED_PAIRS, SIXTEEN_POINT_PRODUCTS, topologies
 from finitetop import (
-    SetFamily,
     alpha_topology,
     check_property,
     discrete,
-    every_cover_has_refinement,
-    has_refinement,
     indiscrete,
     property_reason,
     set_class,
 )
 from finitetop.census import labeled_census
-from finitetop.covers import CONSTRAINTS, PROPERTY_TAGS, canonical_cover, covers_space
+from finitetop.covers import PROPERTY_TAGS, SIGMA_CLOSURE_PRESERVING, SIGMA_DISCRETE
 from finitetop.spaces import full_set
 from oracles import (
     CONSTRAINT_PREDICATES,
+    CONSTRAINTS,
+    SetFamily,
+    canonical_cover,
+    covers_space,
+    every_cover_has_refinement,
     every_cover_has_refinement_exhaustive,
     family_predicate,
     family_predicate_generic,
+    has_refinement,
     has_refinement_exhaustive,
     irredundant_covers,
     refines,
 )
 
-# natural cover class for each refinement constraint
-MODE_PAIRS = [
-    ("alpha-open", "closed+sigma-discrete"),
-    ("open", "closed+sigma-discrete"),
-    ("alpha-open", "open+locally-finite"),
-    ("alpha-open", "closed+sigma-closure-preserving"),
-    ("semi-open", "semi-open+locally-finite+dense-union"),
-    ("regular-closed", "regular-closed+locally-finite"),
-    ("regular-closed", "regular-closed+locally-countable"),
-]
+# the side conditions production states as constants
+SIDE_CONDITIONS = {
+    "sigma-discrete": SIGMA_DISCRETE,
+    "sigma-closure-preserving": SIGMA_CLOSURE_PRESERVING,
+}
 
 
 # --- refines -------------------------------------------------------------------
@@ -93,9 +91,10 @@ def test_generic_forms_agree_with_production(n):
                 "closure-preserving",
                 "sigma-closure-preserving",
             ):
-                assert family_predicate_generic(t, fam, pred) == family_predicate(
-                    t, fam, pred
-                ), (t, fam, pred)
+                generic = family_predicate_generic(t, fam, pred)
+                assert generic == family_predicate(t, fam, pred), (t, fam, pred)
+                if pred in SIDE_CONDITIONS:
+                    assert generic == SIDE_CONDITIONS[pred], (t, fam, pred)
 
 
 def test_family_predicate_unknown(one_open_point):
@@ -127,7 +126,7 @@ def test_canonical_cover_unknown_kind(one_open_point):
         canonical_cover(one_open_point, "semi-open")
 
 
-# --- has_refinement -------------------------------------------------------------------
+# --- has_refinement (the reduction oracle) ------------------------------------------
 
 def test_sigma_discrete_closed_refinement_fails(one_open_point):
     cover = canonical_cover(one_open_point, "alpha-open")
@@ -174,29 +173,41 @@ def test_has_refinement_rejects_non_cover(one_open_point):
 
 
 # --- mode agreement --------------------------------------------------------------------
+#
+# Production's verdict (a table scan or a stated constant), the reduction
+# and the exhaustive search must agree; for the constants this checks the
+# finite-space theorem behind each one.
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_simplified_agrees_with_exhaustive(n):
     for t in labeled_census(n):
-        for cover_kind, constraint in MODE_PAIRS:
-            simplified = every_cover_has_refinement(t, cover_kind, constraint)
-            exhaustive = every_cover_has_refinement_exhaustive(t, cover_kind, constraint)
-            assert simplified == exhaustive, (t, cover_kind, constraint)
+        for s in (t, alpha_topology(t)):
+            for (cover_kind, constraint), production in MODE_PAIRS.items():
+                simplified = every_cover_has_refinement(s, cover_kind, constraint)
+                exhaustive = every_cover_has_refinement_exhaustive(s, cover_kind, constraint)
+                assert production(s) == simplified == exhaustive, (s, cover_kind, constraint)
 
 
-@pytest.mark.parametrize(
-    "cover_kind, constraint",
-    [
-        ("open", "closed+sigma-discrete"),
-        ("alpha-open", "closed+sigma-discrete"),
-        ("alpha-open", "open+locally-finite"),
-    ],
-)
+@pytest.mark.parametrize("cover_kind, constraint", SCANNED_PAIRS)
 def test_simplified_agrees_with_exhaustive_at_4_points(cover_kind, constraint):
+    production = MODE_PAIRS[cover_kind, constraint]
     for t in labeled_census(4):
         simplified = every_cover_has_refinement(t, cover_kind, constraint)
         exhaustive = every_cover_has_refinement_exhaustive(t, cover_kind, constraint)
-        assert simplified == exhaustive, t
+        assert production(t) == simplified == exhaustive, t
+
+
+@pytest.mark.parametrize("pool", ["labeled-5", *sorted(SIXTEEN_POINT_PRODUCTS)])
+def test_scanned_properties_match_reduction_beyond_exhaustive_reach(pool):
+    if pool == "labeled-5":
+        spaces = labeled_census(5)
+    else:
+        spaces = (SIXTEEN_POINT_PRODUCTS[pool](),)
+    for t in spaces:
+        for cover_kind, constraint in SCANNED_PAIRS:
+            production = MODE_PAIRS[cover_kind, constraint](t)
+            simplified = every_cover_has_refinement(t, cover_kind, constraint)
+            assert production == simplified, (t, cover_kind, constraint)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -211,7 +222,7 @@ def test_per_cover_mode_agreement(n):
 
 def test_lemma_lfm1_sides_agree_with_oracle():
     """With alpha-open covers, a sigma-discrete closed refinement exists iff a
-    sigma-closure-preserving one does; production decides both sides alike."""
+    sigma-closure-preserving one does; both sides are alpha-subparacompactness."""
     verdicts = set()
     for n in (1, 2, 3):
         for t in labeled_census(n):
@@ -221,9 +232,8 @@ def test_lemma_lfm1_sides_agree_with_oracle():
             by_closure = every_cover_has_refinement_exhaustive(
                 t, "alpha-open", "closed+sigma-closure-preserving"
             )
-            for constraint in ("closed+sigma-discrete", "closed+sigma-closure-preserving"):
-                production = every_cover_has_refinement(t, "alpha-open", constraint)
-                assert by_discrete == by_closure == production, (t, constraint)
+            production = check_property(t, "alpha-subparacompact")
+            assert by_discrete == by_closure == production, t
             verdicts.add(by_discrete)
     assert verdicts == {True, False}
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from finitetop import SetFamily, alpha_topology, discrete, product, run_suite, search, set_class
+from finitetop import alpha_topology, discrete, product, run_suite, search, set_class
 from finitetop.census import labeled_census
 from oracles import (
+    SetFamily,
     every_cover_has_refinement_exhaustive,
     has_refinement_exhaustive,
     is_homeomorphic,
