@@ -129,29 +129,36 @@ def enumerate_preorders(n: int) -> Iterator[tuple[int, ...]]:
     """Every reflexive transitive relation on n points, lexicographic order.
 
     A relation is its tuple of up-set rows: row x is the mask of points y
-    with x <= y, the table that from_preorder takes.
+    with x <= y, the table that from_preorder takes.  Row i lies inside
+    every placed row that holds i, so it runs over the ascending submasks
+    of their meet that hold i, and it is kept when it holds the row of
+    each placed point in it.
     """
     rows: list[int] = []
+    full = full_set(n)
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
             yield tuple(rows)
             return
-        for r in range(1 << n):
-            if not r >> i & 1:
-                continue
-            ok = True
-            for j, rj in enumerate(rows):
-                if r >> j & 1 and rj & ~r:
-                    ok = False
+        bit = 1 << i
+        meet = full & ~bit
+        for rj in rows:
+            if rj & bit:
+                meet &= rj
+        s = 0
+        while True:
+            r = s | bit
+            for j in iter_points(r & (bit - 1)):
+                if rows[j] & ~r:
                     break
-                if rj >> i & 1 and r & ~rj:
-                    ok = False
-                    break
-            if ok:
+            else:
                 rows.append(r)
                 yield from rec(i + 1)
                 rows.pop()
+            if s == meet:
+                return
+            s = (s - meet) & meet
 
     return rec(0)
 
@@ -253,6 +260,16 @@ def least_table(rows: tuple[int, ...]) -> tuple[int, ...]:
         table.append(least)
         partials = kept
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def class_key(t: Topology) -> tuple[int, ...]:
+    """The least table of t's homeomorphism class, computed once per space.
+
+    A sweep that decides each class once asks for the key of the same space
+    again in every suite it runs.
+    """
+    return least_table(t.min_nbhd)
 
 
 def _are_twins(rows: tuple[int, ...], down: list[int], x: int, y: int) -> bool:

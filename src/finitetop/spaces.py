@@ -242,19 +242,19 @@ def subspace(t: Topology, a: int) -> tuple[Topology, tuple[int, ...]]:
 def product(t1: Topology, t2: Topology) -> Topology:
     """Product space on pairs, (x, y) indexed as x * t2.n + y.
 
-    Generated by the boxes U x V with U, V open; the minimal-neighborhood
-    boxes are a subbasis for the same topology and keep the generator list
-    short.
+    The smallest open set around (x, y) is the box U_x × U_y, so the boxes
+    are the product's table.
     """
     n = t1.n * t2.n
     if n > MAX_POINTS:
         raise ValueError(f"product would have {n} points, cap is {MAX_POINTS}")
-    boxes = [
-        _box(t1.min_nbhd[x], t2.min_nbhd[y], t2.n)
-        for x in range(t1.n)
-        for y in range(t2.n)
-    ]
-    return build_topology(n, boxes)
+    return from_preorder(
+        tuple(
+            _box(t1.min_nbhd[x], t2.min_nbhd[y], t2.n)
+            for x in range(t1.n)
+            for y in range(t2.n)
+        )
+    )
 
 
 def _box(u: int, v: int, n2: int) -> int:

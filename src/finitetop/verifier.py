@@ -13,11 +13,24 @@ the kinds or properties they compare, and the plain implications by
 ``Witness`` or None, and ``Witness.re_check`` runs that function again on
 the witness's spaces.  Judging witnesses independently of that code is the
 job of the definitional oracles in the test suite.
+
+Whether a suite fired on a space, and whether it found a violation, are
+topological invariants, so ``run_suite`` decides them once per
+homeomorphism class.  A space of at most ``MAX_HOMEO_N`` points is keyed
+by its least relabelled table (``census.class_key``), and the checker runs
+on that table; only the members of a violating class are checked again on
+their own labels, so the details name their own points and keep the pool
+order.  Larger spaces, such as 16-point products, are checked one by one,
+because their key can take longer than the check.  The question 1 search
+likewise decides each product once per pair of factor classes.
+``census.profile`` stays per-space: the census up to homeomorphism already
+profiles each class once, and a key there would only add work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import starmap
 from typing import Iterable, Iterator, Optional
 
@@ -25,6 +38,7 @@ from .spaces import (
     MAX_POINTS,
     Topology,
     family_text,
+    from_preorder,
     iter_points,
     product,
     set_text,
@@ -40,7 +54,7 @@ from .covers import (
     check_property,
 )
 from .maps import enumerate_maps, verify_fm1
-from .census import MAX_LABELED_N, labeled_census, space_id
+from .census import MAX_HOMEO_N, MAX_LABELED_N, class_key, labeled_census, space_id
 
 SUITE_TAGS = (
     "lemma-2.1",
@@ -131,20 +145,37 @@ def run_suite(suite: str, spaces: Iterable[Topology]) -> Report:
     pool = tuple(spaces)
     if suite == "thm-fm1":
         return _suite_fm1(pool)
-    try:
-        checker = _PER_SPACE_SUITES[suite]
-    except KeyError:
-        raise ValueError(f"unknown suite {suite!r}") from None
+    if suite not in _PER_SPACE_SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
     violations: list[tuple[str, str]] = []
     vacuous = 0
     for t in pool:
-        # one check builds the tables of t and of T^α once between them
-        with table_scope():
-            fired, problems = checker(t)
+        if t.n <= MAX_HOMEO_N:
+            fired, violated = _class_verdict(suite, class_key(t))
+            problems = _check_space(suite, t)[1] if violated else ()
+        else:
+            fired, problems = _check_space(suite, t)
         if not fired:
             vacuous += 1
         violations.extend((space_id(t), d) for d in problems)
     return Report(suite, len(pool), tuple(violations), vacuous)
+
+
+def _check_space(suite: str, t: Topology) -> tuple[bool, list[str]]:
+    # one check builds the tables of t and of T^α once between them
+    with table_scope():
+        return _PER_SPACE_SUITES[suite](t)
+
+
+@lru_cache(maxsize=None)
+def _class_verdict(suite: str, key: tuple[int, ...]) -> tuple[bool, bool]:
+    """Whether the suite fired, and whether it found a violation, on a class.
+
+    Both are topological invariants, so the class representative decides
+    them for every labeled member.
+    """
+    fired, problems = _check_space(suite, from_preorder(key))
+    return fired, bool(problems)
 
 
 # --- per-space suite checkers -------------------------------------------------
@@ -463,18 +494,24 @@ def _search_question1(t1: Topology, t2: Topology) -> Optional[Witness]:
     asp = "alpha-subparacompact"
     if not check_property(t1, asp) or not check_property(t2, asp):
         return None
-    p = product(t1, t2)
-    if check_property(p, asp):
+    if _product_asp(class_key(t1), class_key(t2)):
         return None
     return Witness(
         "question1-witness",
-        p.n,
+        t1.n * t2.n,
         (t1, t2),
         (),
         f"product of {family_text(t1.opens, t1.n)} and "
         f"{family_text(t2.opens, t2.n)} is not alpha-subparacompact "
         f"although both factors are",
     )
+
+
+@lru_cache(maxsize=None)
+def _product_asp(key1: tuple[int, ...], key2: tuple[int, ...]) -> bool:
+    # homeomorphic factors give homeomorphic products
+    product_space = product(from_preorder(key1), from_preorder(key2))
+    return check_property(product_space, "alpha-subparacompact")
 
 
 def _factor_pairs(max_n: int) -> Iterator[tuple[Topology, Topology]]:

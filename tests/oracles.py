@@ -416,18 +416,18 @@ def canonical_form(t: Topology) -> tuple[int, ...]:
     for x, (up, down) in enumerate(zip(nbhd, _down_sets(nbhd))):
         cells.setdefault((up.bit_count(), down.bit_count()), []).append(x)
     return min(
-        _relabelled(nbhd, [x for block in blocks for x in block])
+        relabelled(nbhd, [x for block in blocks for x in block])
         for blocks in product(*(permutations(cells[key]) for key in sorted(cells)))
     )
 
 
 def least_relabelling(rows: tuple[int, ...]) -> tuple[int, ...]:
     """The least table over all n! relabellings, every one built."""
-    return min(_relabelled(rows, order) for order in permutations(range(len(rows))))
+    return min(relabelled(rows, order) for order in permutations(range(len(rows))))
 
 
-def _relabelled(rows: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
-    # the table with point order[i] moved to position i
+def relabelled(rows: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
+    """The table with point order[i] moved to position i."""
     image = [0] * len(rows)
     for position, x in enumerate(order):
         image[x] = position

@@ -2,6 +2,7 @@
 
 import io
 import json
+from itertools import permutations
 
 import pytest
 
@@ -19,6 +20,7 @@ from finitetop import (
 from finitetop.census import (
     PropertyProfile,
     census_records,
+    enumerate_preorders,
     enumerate_topologies,
     homeo_census,
     homeo_tables,
@@ -30,6 +32,7 @@ from oracles import (
     count_topologies_direct,
     is_homeomorphic,
     least_relabelling,
+    relabelled,
     sweep_homeo_census,
 )
 
@@ -43,6 +46,15 @@ HOMEO_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139, 6: 718, 7: 4535}
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_labeled_counts(n):
     assert len(labeled_census(n)) == LABELED_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_labeled_tables_are_the_sorted_relabellings_of_the_classes(n):
+    # the order too: the labeled stream ascends by table
+    tables = {
+        relabelled(rows, order) for rows in homeo_tables(n) for order in permutations(range(n))
+    }
+    assert list(enumerate_preorders(n)) == sorted(tables)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

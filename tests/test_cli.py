@@ -42,8 +42,9 @@ def object_text(fields):
 # printed them, at commit 6418001; the 6-point homeomorphism census, as the
 # labeled sweep printed it, at commit ec4efe5; the 5-point verify, as the
 # refinement search over canonical covers decided its covering suites, at
-# commit f1c7193); census files, space ids and report text stay
-# byte-identical
+# commit f1c7193; the 4-point question 1 search, as one product per labeled
+# factor pair decided it, at commit e75ad1c); census files, space ids and
+# report text stay byte-identical
 PINNED_STDOUT_SHA256 = {
     "census --n 4": "e32541eee516ae3900ede709dd60c8f8ade0f2b2617885bde3650328ca3d8fcd",
     "census --n 5 --up-to-homeo": (
@@ -59,6 +60,9 @@ PINNED_STDOUT_SHA256 = {
     "verify --n 5 --suite all": "c87b070c383bcb8cc84ba76cdc2ff3af5c5b82a1d60997b1135ddfad24a33bd6",
     "search --predicate question1-witness --max-n 3": (
         "58d58d1922fed8df6f54e5067b389ba2efcaa14b1a1815d3fe9085f039cba61a"
+    ),
+    "search --predicate question1-witness --max-n 4": (
+        "80e875d970e1b918f072d26f11f0a96d50454638ad5451ae8418ecbe26100abf"
     ),
     "verify --n 3 --suite all": "d679cfd56c75497567ef17aa0a19c0011e93f204f3315713045c4d0cb34e60fc",
     "search --predicate compact-not-alpha-subparacompact --max-n 4": (

@@ -2,8 +2,18 @@
 
 import pytest
 
-from finitetop import alpha_topology, discrete, product, run_suite, search, set_class
-from finitetop.census import labeled_census
+from finitetop import (
+    alpha_topology,
+    discrete,
+    product,
+    run_suite,
+    search,
+    set_class,
+    space_id,
+    verifier,
+)
+from finitetop.census import class_key, labeled_census
+from finitetop.spaces import from_preorder, set_text
 from oracles import (
     SetFamily,
     every_cover_has_refinement_exhaustive,
@@ -14,9 +24,13 @@ from finitetop.verifier import (
     SEARCH_PREDICATES,
     SUITE_DESCRIPTIONS,
     SUITE_TAGS,
+    Report,
+    _check_space,
     search_counts,
     witness_to_obj,
 )
+
+PER_SPACE_SUITES = tuple(s for s in SUITE_TAGS if s != "thm-fm1")
 
 
 def test_every_suite_has_a_description():
@@ -24,20 +38,87 @@ def test_every_suite_has_a_description():
 
 
 def test_one_check_builds_each_space_tables_once(table_builds):
-    # a per-space suite on one space touches T and T^α, and the scope it
-    # opens shares their tables across every scan and hull table it asks for
+    # the per-space check that decides a class touches T and T^α, and the
+    # scope it opens shares their tables across every scan and hull table
     built = 0
-    for suite in SUITE_TAGS:
-        if suite == "thm-fm1":
-            continue
+    for suite in PER_SPACE_SUITES:
         for t in labeled_census(4):
             set_class.cache_clear()
             table_builds.clear()
-            run_suite(suite, (t,))
+            _check_space(suite, t)
             assert set(table_builds) <= {t, alpha_topology(t)}, (suite, t)
             assert max(table_builds.values(), default=0) <= 1, (suite, t)
             built += sum(table_builds.values())
     assert built > 0
+
+
+SMALL_POOL = tuple(t for n in (1, 2, 3, 4) for t in labeled_census(n))
+
+
+def _verdict(suite, t):
+    fired, problems = _check_space(suite, t)
+    return fired, bool(problems)
+
+
+def _per_space_report(suite, pool):
+    # the report of checking every space on its own labels
+    violations, vacuous = [], 0
+    for t in pool:
+        fired, problems = _check_space(suite, t)
+        vacuous += not fired
+        violations.extend((space_id(t), d) for d in problems)
+    return Report(suite, len(pool), tuple(violations), vacuous)
+
+
+def _open_points_planted(t):
+    # fails on exactly one 3-point class, that of {∅,{a},X}, and names the
+    # labeled open point, so each member has its own detail text
+    opens = [u for u in t.opens if u.bit_count() == 1]
+    fired = t.n == 3
+    if fired and len(opens) == 1 and len(t.opens) == 3:
+        return True, [f"open point {set_text(opens[0], t.n)}"]
+    return fired, []
+
+
+@pytest.fixture
+def planted(monkeypatch):
+    """A suite named "planted" whose checker fails on one class."""
+    monkeypatch.setitem(verifier._PER_SPACE_SUITES, "planted", _open_points_planted)
+    verifier._class_verdict.cache_clear()
+    yield "planted"
+    verifier._class_verdict.cache_clear()
+
+
+@pytest.mark.parametrize("suite", PER_SPACE_SUITES + ("planted",))
+def test_class_verdicts_are_invariants(request, suite):
+    # every labeled space with n <= 4 against its class representative,
+    # then the class-keyed fold against the per-space one, whose planted
+    # violations carry labeled text
+    if suite == "planted":
+        request.getfixturevalue("planted")
+    for t in SMALL_POOL:
+        assert _verdict(suite, t) == _verdict(suite, from_preorder(class_key(t))), t
+    assert run_suite(suite, SMALL_POOL) == _per_space_report(suite, SMALL_POOL)
+
+
+def test_planted_violation_lists_every_member_of_its_class(planted, one_open_point):
+    pool = labeled_census(3) + labeled_census(2)
+    report = run_suite(planted, pool)
+    members = [t for t in pool if class_key(t) == one_open_point.min_nbhd]
+    assert len(members) == 3
+    assert report.violations == tuple(
+        (space_id(t), f"open point {set_text(t.opens[1], 3)}") for t in members
+    )
+    assert report.spaces_checked == len(pool)
+    assert report.vacuous_count == len(labeled_census(2))
+
+
+def test_spaces_beyond_the_class_range_are_checked_one_by_one(monkeypatch):
+    # a 16-point space is never keyed: its key could take a large share of
+    # a second to compute
+    monkeypatch.setattr(verifier, "class_key", None)
+    report = run_suite("subpara-implication", [discrete(16)])
+    assert report.passed and report.vacuous_count == 0
 
 
 def test_lemma_21_over_three_point_census():
