@@ -6,11 +6,14 @@ are exactly transitivity) and maps each relation to its topology of
 upward-closed sets.  The census up to homeomorphism never builds the
 labeled spaces: it grows the classes one point at a time from the classes
 on one point fewer and keys each candidate by its least relabelled table,
-which is also the first labeled space of its class.  The test suite's
-independent oracles (tests/oracles.py) are the far slower direct route —
-filtering every family of subsets for closure under union and
-intersection — for the labeled counts, and the labeled sweep deduplicated
-by a cell-layout form for the classes.
+which is also the first labeled space of its class.  Up to MAX_LABELED_N
+points a relabelling index, built on first use by moving every class table
+through all n! bijections, gives each labeled table its class key by
+lookup, and each class is profiled once.  The test suite's oracles
+(tests/oracles.py) are the far slower direct route — filtering every family
+of subsets for closure under union and intersection — for the labeled
+counts, and the labeled sweep deduplicated by a cell-layout form for the
+classes.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Iterator, TextIO
 
 from .spaces import (
@@ -107,9 +111,27 @@ def space_id(t: Topology) -> str:
     return f"n{t.n}-{digest}"
 
 
-@lru_cache(maxsize=None)
 def profile(t: Topology) -> PropertyProfile:
-    """All property booleans, class sizes, and the shared-class flags."""
+    """All property booleans, class sizes, and the shared-class flags.
+
+    Every entry is a topological invariant, so a space of at most
+    MAX_LABELED_N points gets its class's profile, computed once per class.
+    Larger spaces are profiled on their own: the census up to homeomorphism
+    already hands over one space per class, and keying it would add a
+    least_table per class.
+    """
+    if t.n <= MAX_LABELED_N:
+        return _class_profile(class_key(t))
+    return _space_profile(t)
+
+
+@lru_cache(maxsize=None)
+def _class_profile(key: tuple[int, ...]) -> PropertyProfile:
+    return _space_profile(from_preorder(key))
+
+
+@lru_cache(maxsize=None)
+def _space_profile(t: Topology) -> PropertyProfile:
     with table_scope():
         ta = alpha_topology(t)
         so = set_class(t, "semi-open")
@@ -262,14 +284,43 @@ def least_table(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
 def class_key(t: Topology) -> tuple[int, ...]:
-    """The least table of t's homeomorphism class, computed once per space.
+    """The least table of t's homeomorphism class.
 
-    A sweep that decides each class once asks for the key of the same space
-    again in every suite it runs.
+    Up to MAX_LABELED_N points it is a lookup in the relabelling index.  A
+    larger space is keyed by least_table once per space: a sweep that
+    decides each class once asks for the key of the same space again in
+    every suite it runs.
     """
+    if t.n <= MAX_LABELED_N:
+        return _class_index(t.n)[t.min_nbhd]
+    return _space_key(t)
+
+
+@lru_cache(maxsize=None)
+def _space_key(t: Topology) -> tuple[int, ...]:
     return least_table(t.min_nbhd)
+
+
+@lru_cache(maxsize=None)
+def _class_index(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every labeled table on n points -> the least table of its class.
+
+    Each table of homeo_tables(n) is relabelled by all n! bijections sigma:
+    the row of point x moves to position sigma[x], and each of its bits y
+    moves to bit sigma[y].
+    """
+    index: dict[tuple[int, ...], tuple[int, ...]] = {}
+    classes = homeo_tables(n)
+    for sigma in permutations(range(n)):
+        image = [0] * (1 << n)  # mask -> its image under sigma
+        for x, y in enumerate(sigma):
+            for m in range(1 << x, 2 << x):
+                image[m] = image[m ^ 1 << x] | 1 << y
+        where = sorted(range(n), key=sigma.__getitem__)  # position -> point
+        for rows in classes:
+            index[tuple([image[rows[x]] for x in where])] = rows
+    return index
 
 
 def _are_twins(rows: tuple[int, ...], down: list[int], x: int, y: int) -> bool:

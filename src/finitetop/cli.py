@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, TextIO
 
@@ -88,10 +89,33 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _with_out(path: str, fn) -> int:
+    """Run fn on the output stream; a file is replaced only when fn returns.
+
+    The output goes to a temporary file beside path (beside the file a
+    symlink names), so a command that fails leaves no new file and an
+    existing one as it was.  A target that is not a regular file, such as
+    /dev/null, is written in place.
+    """
     if path == "-":
         return fn(sys.stdout)
-    with open(path, "w", encoding="utf-8") as out:
-        return fn(out)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as out:
+            return fn(out)
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        out = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # report the path the user gave
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with out:
+            code = fn(out)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return code
 
 
 def _cmd_census(args, out: TextIO) -> int:

@@ -17,14 +17,14 @@ job of the definitional oracles in the test suite.
 Whether a suite fired on a space, and whether it found a violation, are
 topological invariants, so ``run_suite`` decides them once per
 homeomorphism class.  A space of at most ``MAX_HOMEO_N`` points is keyed
-by its least relabelled table (``census.class_key``), and the checker runs
-on that table; only the members of a violating class are checked again on
+by its least relabelled table (``census.class_key``, a lookup in the
+relabelling index up to ``MAX_LABELED_N`` points), and the checker runs on
+that table; only the members of a violating class are checked again on
 their own labels, so the details name their own points and keep the pool
 order.  Larger spaces, such as 16-point products, are checked one by one,
 because their key can take longer than the check.  The question 1 search
-likewise decides each product once per pair of factor classes.
-``census.profile`` stays per-space: the census up to homeomorphism already
-profiles each class once, and a key there would only add work.
+likewise decides each product once per pair of factor classes, and
+``census.profile`` profiles each class once.
 """
 
 from __future__ import annotations

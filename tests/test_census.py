@@ -9,6 +9,7 @@ import pytest
 from finitetop import (
     alpha_topology,
     build_topology,
+    census,
     discrete,
     indiscrete,
     profile,
@@ -36,7 +37,7 @@ from oracles import (
     sweep_homeo_census,
 )
 
-LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
+LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 # OEIS A001930, topologies on n points up to homeomorphism
 HOMEO_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139, 6: 718, 7: 4535}
 
@@ -100,6 +101,19 @@ def test_canonical_form_decides_homeomorphism(n):
         for rep2 in firsts[i + 1:]:
             assert not is_homeomorphic(rep1, rep2)
     assert len(groups) == HOMEO_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_index_keys_every_labeled_table(n):
+    index = census._class_index(n)
+    assert len(index) == LABELED_COUNTS[n]
+    assert set(index) == set(enumerate_preorders(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_index_gives_the_least_table(n):
+    for rows, key in census._class_index(n).items():
+        assert key == least_table(rows), rows
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -169,10 +183,17 @@ def test_profile_builds_the_space_tables_once(table_builds):
     for t in labeled_census(4):
         set_class.cache_clear()
         table_builds.clear()
-        profile.__wrapped__(t)
+        census._space_profile.__wrapped__(t)
         assert table_builds[t] == 1, t
         assert set(table_builds) <= {t, alpha_topology(t)}, t
         assert max(table_builds.values()) == 1, t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_class_profile_equals_the_space_profile(n):
+    # the class's profile, looked up by key, against the space's own
+    for t in labeled_census(n):
+        assert profile(t) == census._space_profile.__wrapped__(t), t
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -43,10 +43,12 @@ def object_text(fields):
 # labeled sweep printed it, at commit ec4efe5; the 5-point verify, as the
 # refinement search over canonical covers decided its covering suites, at
 # commit f1c7193; the 4-point question 1 search, as one product per labeled
-# factor pair decided it, at commit e75ad1c); census files, space ids and
-# report text stay byte-identical
+# factor pair decided it, at commit e75ad1c; the 5-point labeled census, as
+# one profile per labeled space printed it, at commit 787841b); census files,
+# space ids and report text stay byte-identical
 PINNED_STDOUT_SHA256 = {
     "census --n 4": "e32541eee516ae3900ede709dd60c8f8ade0f2b2617885bde3650328ca3d8fcd",
+    "census --n 5": "f1c6f8afcb81285df557c3a016168979f8593a7facdee9d7bc219d7ba6a3866b",
     "census --n 5 --up-to-homeo": (
         "126b06574c9d1bc1cc2a2f25d41614f16c342ab1a5c4b5ffd4f84d75b67177e1"
     ),
@@ -113,6 +115,21 @@ def test_census_to_file(capsys, tmp_path):
     assert code == 0
     assert "4 spaces" in err
     assert len(path.read_text().splitlines()) == 5
+
+
+def test_failed_command_leaves_its_out_file_alone(capsys, tmp_path):
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_bytes(b"earlier output\n")
+    for path in (new, old):
+        code, out, err = run_cli(capsys, "census", "--n", "9", "--out", str(path))
+        assert code == 2 and out == "" and "finitetop: error" in err
+    assert not new.exists()
+    assert old.read_bytes() == b"earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+    # an unwritable path is reported as given, not as the temporary file
+    missing = tmp_path / "missing" / "out.txt"
+    code, _, err = run_cli(capsys, "census", "--n", "2", "--out", str(missing))
+    assert code == 2 and f"No such file or directory: '{missing}'" in err
 
 
 def test_verify_single_suite(capsys):
