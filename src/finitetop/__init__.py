@@ -20,9 +20,7 @@ from .operators import (
     CLASS_KINDS,
     HULL_KINDS,
     alpha_topology,
-    hull,
     hull_table,
-    is_in_class,
     set_class,
 )
 from .covers import PROPERTY_TAGS, check_property, property_reason

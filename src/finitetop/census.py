@@ -14,27 +14,38 @@ lookup, and each class is profiled once.  The test suite's oracles
 of subsets for closure under union and intersection — for the labeled
 counts, and the labeled sweep deduplicated by a cell-layout form for the
 classes.
+
+Census files go through one text codec.  Each open set's JSON text is
+cached by mask, so a record line is formatted from its id, n, its opens'
+texts and its profile's text, encoded once per distinct profile; the bytes
+are json.dumps of the record object.  A line read back in exactly that
+layout is decoded from its texts, and kept only if its space re-encodes to
+the line's opens text and that text hashes to the line's id; any other
+line goes through the JSON parser and the full validation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .spaces import (
+    MAX_POINTS,
     Topology,
     _down_sets,
     _is_int,
+    _min_table,
     from_preorder,
     full_set,
     iter_points,
+    mask_of,
     parse_json,
     space_from_obj,
-    space_to_json,
 )
 from .operators import alpha_topology, set_class, table_scope
 from .covers import PROPERTY_TAGS, check_property
@@ -106,9 +117,8 @@ class CensusRecord:
 
 
 def space_id(t: Topology) -> str:
-    """Stable record id: point count plus a hash of the canonical opens."""
-    digest = hashlib.sha1(space_to_json(t).encode()).hexdigest()[:12]
-    return f"n{t.n}-{digest}"
+    """Stable record id: point count plus a hash of space_to_json's text."""
+    return _id_of(t.n, _opens_text(t))
 
 
 def profile(t: Topology) -> PropertyProfile:
@@ -349,41 +359,111 @@ def census_records(n: int, up_to_homeo: bool = False) -> Iterator[CensusRecord]:
 
 # --- persistence ---------------------------------------------------------------
 
-def record_to_obj(rec: CensusRecord) -> dict:
-    return {
-        "id": rec.id,
-        "n": rec.n,
-        "opens": [list(iter_points(u)) for u in rec.space.opens],
-        "profile": rec.profile.to_obj(),
-    }
+class _MaskTexts(dict):
+    """mask -> the JSON text of its point list, as json.dumps writes it.
+
+    Every mask of a space fits in MAX_POINTS bits, so at most 2^16 entries.
+    """
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = "[" + ", ".join(map(str, iter_points(mask))) + "]"
+        return text
+
+
+class _EntryMasks(dict):
+    """The text inside one canonical open-set entry ("0, 2") -> its mask.
+
+    Raises ValueError for any other text, so only the canonical text of a
+    mask is kept: at most 2^16 entries.
+    """
+
+    def __missing__(self, text: str) -> int:
+        try:
+            mask = mask_of(_POINT_OF[p] for p in text.split(", ")) if text else 0
+        except KeyError:
+            raise ValueError(f"open-set text [{text}] is not canonical") from None
+        if _MASK_TEXTS[mask] != f"[{text}]":
+            raise ValueError(f"open-set text [{text}] is not canonical")
+        self[text] = mask
+        return mask
+
+
+_MASK_TEXTS = _MaskTexts()
+_ENTRY_MASKS = _EntryMasks()
+_POINT_OF = {str(p): p for p in range(MAX_POINTS)}
+
+# a record line exactly as write_census lays it out: id, n without leading
+# zeros, the opens text and the profile object
+_RECORD_LINE = re.compile(
+    r'\{"id": "([^"\\]*)", "n": (0|[1-9][0-9]*), '
+    r'"opens": (\[[\[\]0-9, ]*\]), "profile": (\{.*\})\}'
+)
+
+
+def _opens_text(t: Topology) -> str:
+    """The JSON text of the opens' point lists, as space_to_json writes them."""
+    return "[" + ", ".join(map(_MASK_TEXTS.__getitem__, t.opens)) + "]"
+
+
+def _id_of(n: int, opens_text: str) -> str:
+    text = f'{{"n": {n}, "opens": {opens_text}}}'
+    return f"n{n}-" + hashlib.sha1(text.encode()).hexdigest()[:12]
+
+
+@lru_cache(maxsize=1 << 12)
+def _profile_of(text: str) -> PropertyProfile:
+    # parsed and validated once per distinct profile text; ValueError otherwise
+    return PropertyProfile.from_obj(parse_json(text, "malformed profile"))
 
 
 def write_census(records: Iterable[CensusRecord], sink: TextIO) -> int:
     """One header line plus one record per line; an empty census writes nothing.
 
-    Returns the number of records written.
+    Each line is json.dumps of the record's id, n, opens and profile object,
+    formatted from the cached texts of its open sets and, once per distinct
+    profile, its profile's text.  Returns the number of records written.
     """
     count = 0
     n = None
+    # id(profile) -> (profile, its JSON text); holding the profile keeps its id unique
+    profile_texts: dict[int, tuple[PropertyProfile, str]] = {}
     for rec in records:
         if n is None:
             n = rec.n
             sink.write(json.dumps({"format": CENSUS_FORMAT, "n": n}) + "\n")
         if rec.n != n:
             raise ValueError("census files hold spaces of a single point count")
-        sink.write(json.dumps(record_to_obj(rec)) + "\n")
+        prof = rec.profile
+        entry = profile_texts.get(id(prof))
+        if entry is None:
+            entry = profile_texts[id(prof)] = (prof, json.dumps(prof.to_obj()))
+        sink.write(
+            f'{{"id": {json.dumps(rec.id)}, "n": {n}, "opens": {_opens_text(rec.space)}, '
+            f'"profile": {entry[1]}}}\n'
+        )
         count += 1
     return count
 
 
 def read_census(source: TextIO) -> list[CensusRecord]:
-    """Parse a census file; read(write(x)) == x byte for byte."""
+    """Parse a census file; read(write(x)) == x byte for byte.
+
+    A line in write_census's exact layout is decoded from its texts and kept
+    only if its space re-encodes to the line's opens text and that text
+    hashes to the line's id; every other line goes through the JSON parser
+    and the full validation, which names the fault.
+    """
     records: list[CensusRecord] = []
     n = None
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
+        if n is not None:
+            rec = _read_canonical(line, n)
+            if rec is not None:
+                records.append(rec)
+                continue
         obj = parse_json(line, f"line {lineno}: malformed record")
         if n is None:
             if not isinstance(obj, dict):
@@ -401,6 +481,34 @@ def read_census(source: TextIO) -> list[CensusRecord]:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return records
+
+
+def _read_canonical(line: str, n: int) -> Optional[CensusRecord]:
+    """The record of a line exactly as write_census writes it, else None.
+
+    Re-encoding is the check: a point written as true or 1.0, opens out of
+    order or repeated, or a family not closed under union and intersection
+    cannot give back the same opens text, and a wrong id cannot hash to
+    itself.  An accepted line is one _parse_record accepts, with an equal
+    record.
+    """
+    match = _RECORD_LINE.fullmatch(line)
+    if match is None or not 1 <= n <= MAX_POINTS:
+        return None
+    rid, count, opens, profile_text = match.groups()
+    if count != str(n):
+        return None
+    try:
+        masks = [_ENTRY_MASKS[entry] for entry in opens[2:-2].split("], [")]
+        prof = _profile_of(profile_text)
+    except ValueError:
+        return None
+    if max(masks) >> n:  # a point outside the space
+        return None
+    space = from_preorder(_min_table(n, masks))
+    if _opens_text(space) != opens or _id_of(n, opens) != rid:
+        return None
+    return CensusRecord(rid, space, prof)
 
 
 def _parse_record(obj: dict, n: int) -> CensusRecord:

@@ -11,8 +11,9 @@ per entry:
 
 for any point x of a, because closure and the open hull are finitely
 additive and the interior is dual to the closure; cl{x} is the space's
-recorded point closure.  A question about one mask passes adapters whose
-``[]`` calls the ``Topology`` methods instead.
+recorded point closure.  Production only ever scans whole classes; the
+test oracles (tests/oracles.py) ask the same formulas about one mask
+through adapters whose ``[]`` calls the ``Topology`` methods instead.
 
 A space's tables live in the innermost ``table_scope``.  A check opens one
 around its work on one space, so the scans and hull tables it asks of T
@@ -55,7 +56,7 @@ from contextvars import ContextVar
 from functools import lru_cache, partial
 from typing import Optional
 
-from .spaces import Topology, check_fits, complement, from_preorder, full_set
+from .spaces import Topology, from_preorder, full_set
 
 
 @lru_cache(maxsize=None)
@@ -102,27 +103,6 @@ class table_scope:
 
     def __exit__(self, *exc_info) -> None:
         _SCOPE.reset(self._token)
-
-
-class _MethodLookup:
-    # indexing calls a Topology method, so a formula written over tables
-    # answers one mask
-    __slots__ = ("method",)
-
-    def __init__(self, method):
-        self.method = method
-
-    def __getitem__(self, a: int) -> int:
-        return self.method(a)
-
-
-def _method_lookups(t: Topology) -> tuple:
-    return (
-        _MethodLookup(t.closure),
-        _MethodLookup(t.interior),
-        _MethodLookup(t.open_hull),
-        full_set(t.n),
-    )
 
 
 def _table_lookups(t: Topology) -> tuple:
@@ -228,29 +208,11 @@ def _check_kind(kind: str, kinds: tuple[str, ...], what: str) -> None:
         raise ValueError(f"unknown {what} kind {kind!r}")
 
 
-def hull(t: Topology, a: int, kind: str) -> int:
-    """Closure-type hull of a subset."""
-    _check_kind(kind, HULL_KINDS, "hull")
-    check_fits(a, t.n)
-    t, kind = _resolve(t, kind)
-    return _HULLS[kind](*_method_lookups(t), a)
-
-
 def hull_table(t: Topology, kind: str) -> list[int]:
     """The hull of every subset, indexed by its mask."""
     _check_kind(kind, HULL_KINDS, "hull")
     t, kind = _resolve(t, kind)
     return list(map(partial(_HULLS[kind], *_table_lookups(t)), range(1 << t.n)))
-
-
-def is_in_class(t: Topology, a: int, kind: str) -> bool:
-    """Evaluate the defining formula of one set class."""
-    _check_kind(kind, CLASS_KINDS, "class")
-    check_fits(a, t.n)
-    t, kind = _resolve(t, kind)
-    if kind in _DUALS:
-        kind, a = _DUALS[kind], complement(a, t.n)
-    return _FORMULAS[kind](*_method_lookups(t), a)
 
 
 @lru_cache(maxsize=None)

@@ -158,10 +158,14 @@ class Topology:
 
 def _min_table(n: int, family: Iterable[int]) -> tuple[int, ...]:
     # nbhd[x] = intersection of all family members containing x (X included)
-    nbhd = [full_set(n)] * n
-    for a in family:
-        for x in iter_points(a):
-            nbhd[x] &= a
+    family = tuple(family)
+    nbhd = []
+    for x in range(n):
+        bit, m = 1 << x, full_set(n)
+        for a in family:
+            if a & bit:
+                m &= a
+        nbhd.append(m)
     return tuple(nbhd)
 
 

@@ -25,7 +25,14 @@ of equivalent points.
 The per-mask class formulas (CLASS_FORMULAS, is_in_class_per_mask) ask the
 space's own closure and interior about one mask at a time.  Production
 states each formula once over closure, interior and open-hull lookups and
-scans whole classes on tables; these judge those scans.
+scans whole classes on tables; these judge those scans.  The single-mask
+form of production's own formulas (hull, is_in_class) passes them adapters
+whose ``[]`` calls the space's methods, so a scan's table and a method call
+answer one formula each.
+
+A census record's JSON object (record_to_obj) is the reference for the
+census file codec: write_census formats each line from cached texts, and
+each line must equal json.dumps of this object.
 """
 
 from __future__ import annotations
@@ -35,7 +42,16 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from finitetop import Topology, alpha_topology, set_class
-from finitetop.census import enumerate_preorders
+from finitetop.census import CensusRecord, enumerate_preorders
+from finitetop.operators import (
+    CLASS_KINDS,
+    HULL_KINDS,
+    _DUALS,
+    _FORMULAS,
+    _HULLS,
+    _check_kind,
+    _resolve,
+)
 from finitetop.spaces import (
     _down_sets,
     check_fits,
@@ -549,3 +565,56 @@ def is_in_class_per_mask(t: Topology, a: int, kind: str) -> bool:
 def class_scan_per_mask(t: Topology, kind: str) -> tuple[int, ...]:
     """Every mask whose per-mask formula holds, ascending."""
     return tuple(a for a in range(1 << t.n) if is_in_class_per_mask(t, a, kind))
+
+
+# --- production's formulas, one mask at a time --------------------------------
+
+class _MethodLookup:
+    # indexing calls a Topology method, so a formula written over tables
+    # answers one mask
+    __slots__ = ("method",)
+
+    def __init__(self, method):
+        self.method = method
+
+    def __getitem__(self, a: int) -> int:
+        return self.method(a)
+
+
+def _method_lookups(t: Topology) -> tuple:
+    return (
+        _MethodLookup(t.closure),
+        _MethodLookup(t.interior),
+        _MethodLookup(t.open_hull),
+        full_set(t.n),
+    )
+
+
+def hull(t: Topology, a: int, kind: str) -> int:
+    """Closure-type hull of a subset, by production's formula."""
+    _check_kind(kind, HULL_KINDS, "hull")
+    check_fits(a, t.n)
+    t, kind = _resolve(t, kind)
+    return _HULLS[kind](*_method_lookups(t), a)
+
+
+def is_in_class(t: Topology, a: int, kind: str) -> bool:
+    """Production's defining formula of one set class, on one mask."""
+    _check_kind(kind, CLASS_KINDS, "class")
+    check_fits(a, t.n)
+    t, kind = _resolve(t, kind)
+    if kind in _DUALS:
+        kind, a = _DUALS[kind], complement(a, t.n)
+    return _FORMULAS[kind](*_method_lookups(t), a)
+
+
+# --- census records -----------------------------------------------------------
+
+def record_to_obj(rec: CensusRecord) -> dict:
+    """The JSON object of one census record, fields in file order."""
+    return {
+        "id": rec.id,
+        "n": rec.n,
+        "opens": [list(iter_points(u)) for u in rec.space.opens],
+        "profile": rec.profile.to_obj(),
+    }

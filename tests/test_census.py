@@ -1,11 +1,14 @@
 """Census enumeration, profiling, and file persistence."""
 
+import hashlib
 import io
 import json
+import random
 from itertools import permutations
 
 import pytest
 
+from conftest import SIXTEEN_POINT_PRODUCTS
 from finitetop import (
     alpha_topology,
     build_topology,
@@ -16,10 +19,13 @@ from finitetop import (
     read_census,
     set_class,
     space_id,
+    space_to_json,
     write_census,
 )
 from finitetop.census import (
+    CENSUS_FORMAT,
     PropertyProfile,
+    _parse_record,
     census_records,
     enumerate_preorders,
     enumerate_topologies,
@@ -27,12 +33,12 @@ from finitetop.census import (
     homeo_tables,
     labeled_census,
     least_table,
-    record_to_obj,
 )
 from oracles import (
     count_topologies_direct,
     is_homeomorphic,
     least_relabelling,
+    record_to_obj,
     relabelled,
     sweep_homeo_census,
 )
@@ -221,7 +227,149 @@ def test_space_id_is_stable_and_canonical(one_open_point):
     assert space_id(build_topology(3, [2])) != sid
 
 
+def _sha1_id(t):
+    return f"n{t.n}-" + hashlib.sha1(space_to_json(t).encode()).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_space_id_hashes_space_to_json(n):
+    for t in labeled_census(n):
+        assert space_id(t) == _sha1_id(t)
+
+
+@pytest.mark.parametrize("name", sorted(SIXTEEN_POINT_PRODUCTS))
+def test_space_id_hashes_space_to_json_at_16_points(name):
+    # violation lines print the ids of 16-point spaces too
+    t = SIXTEEN_POINT_PRODUCTS[name]()
+    assert space_id(t) == _sha1_id(t)
+
+
 # --- persistence --------------------------------------------------------------------
+
+def _census_text(records):
+    buf = io.StringIO()
+    write_census(records, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n, up_to_homeo", [(1, False), (2, False), (3, False),
+                                            (4, False), (5, False), (6, True)])
+def test_written_lines_are_the_json_of_each_record(n, up_to_homeo):
+    records = list(census_records(n, up_to_homeo=up_to_homeo))
+    header, *lines = _census_text(records).splitlines()
+    assert json.loads(header) == {"format": CENSUS_FORMAT, "n": n}
+    assert lines == [json.dumps(record_to_obj(rec)) for rec in records]
+
+
+def _with_opens(obj, opens):
+    # the record with other opens, its id recomputed over them, so that only
+    # the opens check can reject it
+    text = json.dumps({"n": obj["n"], "opens": opens})
+    return {**obj, "id": f"n{obj['n']}-" + hashlib.sha1(text.encode()).hexdigest()[:12],
+            "opens": opens}
+
+
+def _point_one_as(text):
+    # the first point 1 of the opens written as text
+    def mutate(obj):
+        opens = [list(u) for u in obj["opens"]]
+        k = next((k for k, u in enumerate(opens) if 1 in u), None)
+        if k is None:
+            return None
+        opens[k][opens[k].index(1)] = "@"
+        return json.dumps(_with_opens(obj, opens)).replace('"@"', text)
+    return mutate
+
+
+def _opens_changed(change):
+    def mutate(obj):
+        opens = change(obj["opens"])
+        return None if opens is None else json.dumps(_with_opens(obj, opens))
+    return mutate
+
+
+def _unsorted(opens):
+    return [opens[0], opens[2], opens[1], *opens[3:]] if len(opens) > 2 else None
+
+
+def _not_union_closed(opens):
+    # drop an open short of the full set that is the union of two others
+    sets = [frozenset(u) for u in opens]
+    for k, u in enumerate(sets[:-1]):
+        if any(a | b == u and a != u and b != u for a in sets for b in sets):
+            return opens[:k] + opens[k + 1:]
+    return None
+
+
+def _upper_hex(obj):
+    head, _, digest = obj["id"].partition("-")
+    if digest.upper() == digest:
+        return None
+    return json.dumps({**obj, "id": f"{head}-{digest.upper()}"})
+
+
+def _size_true(obj):
+    prof = json.loads(json.dumps(obj["profile"]))
+    prof["sizes"]["so"] = True
+    return json.dumps({**obj, "profile": prof})
+
+
+# name -> record object -> mutated line, or None where it does not apply
+LINE_MUTATIONS = {
+    "unchanged": json.dumps,
+    "point-true": _point_one_as("true"),
+    "point-float": _point_one_as("1.0"),
+    "point-leading-zero": _point_one_as("01"),
+    "opens-unsorted": _opens_changed(_unsorted),
+    "open-duplicated": _opens_changed(lambda opens: [opens[0], *opens]),
+    "open-dropped": _opens_changed(_not_union_closed),
+    "extra-space": lambda obj: json.dumps(obj).replace('"n": ', '"n":  ', 1),
+    "keys-reordered": lambda obj: json.dumps({"n": obj["n"], **obj}),
+    "extra-key": lambda obj: json.dumps({**obj, "x": 1}),
+    "wrong-id": lambda obj: json.dumps({**obj, "id": obj["id"][:-1] + "x"}),
+    "id-upper-hex": _upper_hex,
+    "n-not-header": lambda obj: json.dumps({**obj, "n": obj["n"] + 1}),
+    "profile-size-true": _size_true,
+}
+
+
+def _differential_lines():
+    for n in (1, 2, 3, 4):
+        yield from _census_text(census_records(n)).splitlines()[1:]
+    lines = _census_text(census_records(5)).splitlines()[1:]
+    yield from random.Random(2024).sample(lines, 150)
+
+
+@pytest.mark.parametrize("mutation", sorted(LINE_MUTATIONS))
+def test_read_agrees_with_the_general_parser(mutation):
+    """read_census decodes a line in the writer's layout without the JSON
+    parser; on every line, mutated or not, it must give what json.loads and
+    _parse_record give, record or error."""
+    applied = 0
+    for line in _differential_lines():
+        obj = json.loads(line)
+        mutated = LINE_MUTATIONS[mutation](obj)
+        if mutated is None:
+            continue
+        applied += 1
+        header = json.dumps({"format": CENSUS_FORMAT, "n": obj["n"]})
+        try:
+            expected = _parse_record(json.loads(mutated), obj["n"])
+        except json.JSONDecodeError as exc:
+            expected = f"line 2: malformed record: {exc}"
+        except ValueError as exc:
+            expected = f"line 2: {exc}"
+        try:
+            (got,) = read_census(io.StringIO(header + "\n" + mutated + "\n"))
+        except ValueError as exc:
+            assert str(exc) == expected, mutated
+            continue
+        assert not isinstance(expected, str), mutated
+        assert (got.id, got.space.min_nbhd, got.profile) == (
+            expected.id, expected.space.min_nbhd, expected.profile
+        ), mutated
+    assert applied >= 100
+
 
 def test_round_trip_is_byte_identical():
     buf = io.StringIO()

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SIXTEEN_POINT_PRODUCTS
 from finitetop import CLASS_KINDS, indiscrete, space_to_json, verifier
-from finitetop.census import CENSUS_FORMAT, CensusRecord, profile, record_to_obj, space_id
+from finitetop.census import CENSUS_FORMAT, CensusRecord, profile, space_id
 from finitetop.cli import main
+from oracles import record_to_obj
 
 SPACE_TEXT = '{"n": 3, "opens": [[], [0], [0, 1, 2]]}'
 
@@ -330,6 +331,19 @@ def test_stdout_matches_pinned_digest(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_of_a_written_census_matches_pinned_digest(capsys, tmp_path, n):
+    # the read path end to end: a census file read back verifies as the
+    # census it was written from
+    path = tmp_path / "census.txt"
+    code, out, _ = run_cli(capsys, "census", "--n", str(n), "--out", str(path))
+    assert (code, out) == (0, "")
+    code, out, _ = run_cli(capsys, "verify", "--census", str(path), "--suite", "all")
+    assert code == 0
+    digest = PINNED_STDOUT_SHA256[f"verify --n {n} --suite all"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # SHA-256 of `inspect` of the 16-point question1-witness square with every

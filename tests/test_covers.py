@@ -27,6 +27,7 @@ from oracles import (
     family_predicate_generic,
     has_refinement,
     has_refinement_exhaustive,
+    hull,
     irredundant_covers,
     refines,
 )
@@ -280,8 +281,6 @@ def test_trivially_true_properties_expose_reasons():
 def test_subcover_collapse_against_literal_search(n):
     """Literal bounded oracle: every irredundant semi-open cover has a finite
     subfamily whose closures (resp. semi-closures) cover."""
-    from finitetop import hull
-
     for t in labeled_census(n):
         for cover in irredundant_covers(t, "semi-open"):
             k = len(cover.members)

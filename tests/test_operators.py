@@ -13,16 +13,14 @@ from finitetop import (
     alpha_topology,
     check_property,
     discrete,
-    hull,
     hull_table,
     indiscrete,
-    is_in_class,
     set_class,
 )
 from finitetop.census import labeled_census
 from finitetop.operators import _SCOPE, _table_lookups, table_scope
 from finitetop.spaces import complement, full_set
-from oracles import class_scan_per_mask
+from oracles import class_scan_per_mask, hull, is_in_class
 
 
 # --- independent oracles ---------------------------------------------------------
