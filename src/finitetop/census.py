@@ -17,11 +17,12 @@ classes.
 
 Census files go through one text codec.  Each open set's JSON text is
 cached by mask, so a record line is formatted from its id, n, its opens'
-texts and its profile's text, encoded once per distinct profile; the bytes
-are json.dumps of the record object.  A line read back in exactly that
-layout is decoded from its texts, and kept only if its space re-encodes to
-the line's opens text and that text hashes to the line's id; any other
-line goes through the JSON parser and the full validation.
+texts and its profile's text, encoded once per distinct profile up to
+MAX_LABELED_N points; the bytes are json.dumps of the record object.  A
+line read back in exactly that layout is decoded from its texts, and kept
+only if its space re-encodes to the line's opens text and that text hashes
+to the line's id; any other line goes through the JSON parser and the full
+validation.
 """
 
 from __future__ import annotations
@@ -161,26 +162,40 @@ def enumerate_preorders(n: int) -> Iterator[tuple[int, ...]]:
     """Every reflexive transitive relation on n points, lexicographic order.
 
     A relation is its tuple of up-set rows: row x is the mask of points y
-    with x <= y, the table that from_preorder takes.  Row i lies inside
-    every placed row that holds i, so it runs over the ascending submasks
-    of their meet that hold i, and it is kept when it holds the row of
-    each placed point in it.
+    with x <= y, the table that from_preorder takes.
+    """
+    return preorders_between(tuple(1 << x for x in range(n)), (full_set(n),) * n)
+
+
+def preorders_between(
+    lower: tuple[int, ...], upper: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Every preorder table S with lower[x] ⊆ S[x] ⊆ upper[x] for each x.
+
+    lower[x] must hold x.  Tables come in lexicographic order.  Row i lies
+    inside upper[i] and inside every placed row that holds i, so it runs
+    over lower[i] joined with the ascending submasks of the rest of their
+    meet, and it is kept when it holds the row of each placed point in it:
+    pairwise row containment is exactly transitivity.
     """
     rows: list[int] = []
-    full = full_set(n)
+    n = len(upper)
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
             yield tuple(rows)
             return
-        bit = 1 << i
-        meet = full & ~bit
+        bit, low = 1 << i, lower[i]
+        meet = upper[i]
         for rj in rows:
             if rj & bit:
                 meet &= rj
+        if low & ~meet:
+            return
+        free = meet & ~low
         s = 0
         while True:
-            r = s | bit
+            r = s | low
             for j in iter_points(r & (bit - 1)):
                 if rows[j] & ~r:
                     break
@@ -188,9 +203,9 @@ def enumerate_preorders(n: int) -> Iterator[tuple[int, ...]]:
                 rows.append(r)
                 yield from rec(i + 1)
                 rows.pop()
-            if s == meet:
+            if s == free:
                 return
-            s = (s - meet) & meet
+            s = (s - free) & free
 
     return rec(0)
 
@@ -312,6 +327,36 @@ def _space_key(t: Topology) -> tuple[int, ...]:
     return least_table(t.min_nbhd)
 
 
+def table_key(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """class_key of the space with this table, without building the space
+    or caching its key."""
+    if len(rows) <= MAX_LABELED_N:
+        return _class_index(len(rows))[rows]
+    return least_table(rows)
+
+
+@lru_cache(maxsize=None)
+def automorphism_count(rows: tuple[int, ...]) -> int:
+    """|Aut| of the space with this table: the bijections that fix it.
+
+    A bijection sigma moves the row of x to position sigma[x] and each of
+    its bits y to bit sigma[y], so it fixes the table iff it carries row x
+    onto row sigma[x] for every x.  All n! bijections are tried; the class
+    of the table has n!/|Aut| labeled members.
+    """
+    count = 0
+    for sigma in permutations(range(len(rows))):
+        for x, row in enumerate(rows):
+            moved = 0
+            for y in iter_points(row):
+                moved |= 1 << sigma[y]
+            if moved != rows[sigma[x]]:
+                break
+        else:
+            count += 1
+    return count
+
+
 @lru_cache(maxsize=None)
 def _class_index(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Every labeled table on n points -> the least table of its class.
@@ -420,8 +465,11 @@ def write_census(records: Iterable[CensusRecord], sink: TextIO) -> int:
     """One header line plus one record per line; an empty census writes nothing.
 
     Each line is json.dumps of the record's id, n, opens and profile object,
-    formatted from the cached texts of its open sets and, once per distinct
-    profile, its profile's text.  Returns the number of records written.
+    formatted from the cached texts of its open sets and its profile's
+    text.  Up to MAX_LABELED_N points, where profile objects are shared by
+    a class, that text is encoded once per distinct profile; a larger
+    census profiles each space apart, so holding its texts would save
+    nothing.  Returns the number of records written.
     """
     count = 0
     n = None
@@ -434,12 +482,16 @@ def write_census(records: Iterable[CensusRecord], sink: TextIO) -> int:
         if rec.n != n:
             raise ValueError("census files hold spaces of a single point count")
         prof = rec.profile
-        entry = profile_texts.get(id(prof))
-        if entry is None:
-            entry = profile_texts[id(prof)] = (prof, json.dumps(prof.to_obj()))
+        if n > MAX_LABELED_N:
+            text = json.dumps(prof.to_obj())
+        else:
+            entry = profile_texts.get(id(prof))
+            if entry is None:
+                entry = profile_texts[id(prof)] = (prof, json.dumps(prof.to_obj()))
+            text = entry[1]
         sink.write(
             f'{{"id": {json.dumps(rec.id)}, "n": {n}, "opens": {_opens_text(rec.space)}, '
-            f'"profile": {entry[1]}}}\n'
+            f'"profile": {text}}}\n'
         )
         count += 1
     return count

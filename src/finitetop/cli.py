@@ -1,8 +1,9 @@
 """Command-line entry point: census, verify, search, inspect.
 
 Exit status: 0 on success and no violations, 1 when a verify suite reports
-violations, 2 on usage or input errors.  Human-readable output labels the
-points a, b, c, ... in order.
+violations, 2 on usage or input errors, 3 on an internal fault (any other
+exception), reported in one line.  Human-readable output labels the points
+a, b, c, ... in order.
 """
 
 from __future__ import annotations
@@ -86,6 +87,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"finitetop: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"finitetop: internal error: {message}", file=sys.stderr)
+        return 3
 
 
 def _with_out(path: str, fn) -> int:

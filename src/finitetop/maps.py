@@ -87,10 +87,15 @@ def enumerate_maps(
     budget: int = DEFAULT_MAP_BUDGET,
 ) -> Iterator[SpaceMap]:
     """All total functions x -> y in deterministic (lexicographic) order."""
+    check_map_budget(x, y, budget)
+    return _iter_maps(x, y, surjective_only)
+
+
+def check_map_budget(x: Topology, y: Topology, budget: int = DEFAULT_MAP_BUDGET) -> None:
+    """Raise ValueError when the total functions x -> y exceed the budget."""
     total = y.n ** x.n
     if total > budget:
         raise ValueError(f"{total} maps exceed the budget of {budget}")
-    return _iter_maps(x, y, surjective_only)
 
 
 def _iter_maps(x: Topology, y: Topology, surjective_only: bool) -> Iterator[SpaceMap]:

@@ -335,10 +335,13 @@ def _is_int(value: object) -> bool:
 
 
 def parse_json(text: str, what: str) -> object:
-    """json.loads with every parse failure, nesting too deep included, as ValueError."""
+    """json.loads with every parse failure as a ValueError that names what.
+
+    That includes nesting too deep and an integer too long to convert.
+    """
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{what}: {exc}") from exc
 
 

@@ -33,6 +33,11 @@ answer one formula each.
 A census record's JSON object (record_to_obj) is the reference for the
 census file codec: write_census formats each line from cached texts, and
 each line must equal json.dumps of this object.
+
+The image law by enumeration (fm1_report_by_enumeration) builds and checks
+every surjection between every ordered pair of a pool, map by map.
+Production counts the maps of a pair of equal size from the tables between
+T and T^α and the automorphism counts of the codomains instead.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from finitetop import Topology, alpha_topology, set_class
-from finitetop.census import CensusRecord, enumerate_preorders
+from finitetop.census import CensusRecord, enumerate_preorders, space_id
+from finitetop.maps import enumerate_maps, verify_fm1
 from finitetop.operators import (
     CLASS_KINDS,
     HULL_KINDS,
@@ -60,6 +66,7 @@ from finitetop.spaces import (
     full_set,
     iter_points,
 )
+from finitetop.verifier import Report
 
 @dataclass(frozen=True)
 class SetFamily:
@@ -618,3 +625,27 @@ def record_to_obj(rec: CensusRecord) -> dict:
         "opens": [list(iter_points(u)) for u in rec.space.opens],
         "profile": rec.profile.to_obj(),
     }
+
+
+# --- the image law ----------------------------------------------------------
+
+def fm1_report_by_enumeration(pool: Sequence[Topology]) -> Report:
+    """The thm-fm1 report of checking every surjection of every ordered pair."""
+    checked = 0
+    vacuous = 0
+    violations: list[tuple[str, str]] = []
+    for dom in pool:
+        for cod in pool:
+            for f in enumerate_maps(dom, cod, surjective_only=True):
+                checked += 1
+                verdict = verify_fm1(f)
+                if verdict == "not-applicable":
+                    vacuous += 1
+                elif verdict == "VIOLATION":
+                    violations.append(
+                        (
+                            space_id(dom),
+                            f"map {list(f.fn)} onto {space_id(cod)} breaks the image law",
+                        )
+                    )
+    return Report("thm-fm1", checked, tuple(violations), vacuous)

@@ -45,8 +45,9 @@ def object_text(fields):
 # refinement search over canonical covers decided its covering suites, at
 # commit f1c7193; the 4-point question 1 search, as one product per labeled
 # factor pair decided it, at commit e75ad1c; the 5-point labeled census, as
-# one profile per labeled space printed it, at commit 787841b); census files,
-# space ids and report text stay byte-identical
+# one profile per labeled space printed it, at commit 787841b; the 4-point
+# thm-fm1 sample in JSON, as map-by-map enumeration printed it, at commit
+# d0cd047); census files, space ids and report text stay byte-identical
 PINNED_STDOUT_SHA256 = {
     "census --n 4": "e32541eee516ae3900ede709dd60c8f8ade0f2b2617885bde3650328ca3d8fcd",
     "census --n 5": "f1c6f8afcb81285df557c3a016168979f8593a7facdee9d7bc219d7ba6a3866b",
@@ -79,6 +80,9 @@ PINNED_STDOUT_SHA256 = {
     ),
     "verify --n 4 --suite all --format json": (
         "53dcea11d35fb0257a0c65b8d46ae4799fffe0ad5e02833d800f6a73337046c4"
+    ),
+    "verify --n 4 --suite thm-fm1 --format json": (
+        "d0b4538809692727ca813a32de41185697e68c1f7459712a51d5c612d75b5e38"
     ),
 }
 
@@ -437,6 +441,39 @@ def test_verify_census_bool_count_exits_2(tmp_path, field):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "finitetop: error: line" in result.stderr
+
+
+@pytest.mark.parametrize("where", ["header-point-count", "point"])
+def test_verify_census_huge_integer_names_its_line(capsys, tmp_path, where):
+    # past Python's digit limit json.loads raises a plain ValueError
+    huge = "7" * 5000
+    t = indiscrete(1)
+    record = record_to_obj(CensusRecord(space_id(t), t, profile(t)))
+    record = {k: json.dumps(v) for k, v in record.items()}
+    header = {"format": json.dumps(CENSUS_FORMAT), "n": "1"}
+    if where == "header-point-count":
+        header["n"], line = huge, 1
+    else:
+        record["opens"], line = f"[[], [{huge}]]", 2
+    path = tmp_path / "census.txt"
+    path.write_text(object_text(header) + "\n" + object_text(record) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--census", str(path), "--suite", "prop-p1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"finitetop: error: line {line}:")
+
+
+def test_internal_fault_exits_3(capsys, monkeypatch, tmp_path):
+    # 1 means violations, so a fault of the program has its own code
+    def fault(suite, spaces):
+        raise RuntimeError("planted\nfault")
+
+    monkeypatch.setattr(verifier, "run_suite", fault)
+    path = tmp_path / "report.txt"
+    argv = ("verify", "--n", "2", "--suite", "prop-p1", "--out", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "finitetop: internal error: RuntimeError: planted fault\n"
+    assert not path.exists()
 
 
 def test_module_invocation_smoke(tmp_path):

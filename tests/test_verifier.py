@@ -1,10 +1,16 @@
 """Law suites over census streams and witness searches."""
 
+import random
+from itertools import permutations
+from math import factorial
+
 import pytest
 
 from finitetop import (
     alpha_topology,
+    check_property,
     discrete,
+    maps,
     product,
     run_suite,
     search,
@@ -12,11 +18,19 @@ from finitetop import (
     space_id,
     verifier,
 )
-from finitetop.census import class_key, labeled_census
-from finitetop.spaces import from_preorder, set_text
+from finitetop.census import (
+    automorphism_count,
+    class_key,
+    homeo_tables,
+    labeled_census,
+    preorders_between,
+)
+from finitetop.spaces import from_preorder, iter_points, mask_of, set_text
 from oracles import (
     SetFamily,
+    class_scan_per_mask,
     every_cover_has_refinement_exhaustive,
+    fm1_report_by_enumeration,
     has_refinement_exhaustive,
     is_homeomorphic,
 )
@@ -140,6 +154,123 @@ def test_fm1_sweep_two_point_pairs():
     assert report.violations == ()
     # 4x4 ordered pairs, 2 surjections each
     assert report.spaces_checked == 32
+
+
+def _sub_pools(n):
+    census = labeled_census(n)
+    yield census[:8]
+    for seed in range(5):
+        yield tuple(random.Random(seed).sample(census, 8))
+
+
+# interleaved, so enumerated pairs of unequal size sit between counted ones
+MIXED_POOL = labeled_census(3)[:10] + labeled_census(2) + labeled_census(3)[10:]
+
+FM1_POOLS = {
+    **{f"census-{n}": labeled_census(n) for n in (1, 2, 3)},
+    **{f"n{n}-pool-{i}": pool for n in (4, 5) for i, pool in enumerate(_sub_pools(n))},
+    "mixed-2-3": MIXED_POOL,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FM1_POOLS))
+def test_fm1_count_equals_enumeration(name):
+    pool = FM1_POOLS[name]
+    assert run_suite("thm-fm1", pool) == fm1_report_by_enumeration(pool)
+
+
+def test_fm1_count_over_the_four_point_census():
+    # 355 x 355 pairs of 24 bijections each; enumeration takes most of a minute
+    report = run_suite("thm-fm1", labeled_census(4))
+    assert report == Report("thm-fm1", 3024600, (), 3022320)
+
+
+def test_alpha_subparacompact_spaces_are_nodec():
+    # so the law's maps out of such a space are homeomorphisms: an honest
+    # pool reaches no class but the domain's own
+    for n in (1, 2, 3, 4, 5):
+        for t in labeled_census(n):
+            if check_property(t, "alpha-subparacompact"):
+                assert alpha_topology(t) == t, t
+
+
+@pytest.mark.parametrize("pool", [labeled_census(3), MIXED_POOL], ids=["census-3", "mixed"])
+def test_fm1_planted_violation_is_enumerated_in_order(monkeypatch, one_open_point, pool):
+    # the one-open-point class reads as alpha-subparacompact, in production
+    # and in the oracle alike; its maps reach two classes that are not, and
+    # the violations and their order must agree
+    planted_key = class_key(one_open_point)
+    real = check_property
+
+    def planted(t, prop):
+        if prop == "alpha-subparacompact" and t.n == 3 and class_key(t) == planted_key:
+            return True
+        return real(t, prop)
+
+    monkeypatch.setattr(verifier, "check_property", planted)
+    monkeypatch.setattr(maps, "check_property", planted)
+    report = run_suite("thm-fm1", pool)
+    assert len({sid for sid, _ in report.violations}) == 3
+    assert report == fm1_report_by_enumeration(pool)
+
+
+def _opens(t):
+    return frozenset(t.opens)
+
+
+def _alpha_opens(t):
+    return frozenset(class_scan_per_mask(t, "alpha-open"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sandwich_lemma(n):
+    # for T ⊆ S', S'^α ⊆ T^α iff S' ⊆ T^α (Njåstad), so the tables between
+    # T and T^α are exactly the pullbacks of closed alpha-irresolute
+    # bijections out of T
+    spaces = [(s, _opens(s), _alpha_opens(s)) for s in labeled_census(n)]
+    for t, t_opens, t_alpha in spaces:
+        pullbacks = set()
+        for s, s_opens, s_alpha in spaces:
+            closed = t_opens <= s_opens
+            assert (closed and s_alpha <= t_alpha) == (closed and s_opens <= t_alpha)
+            if closed and s_alpha <= t_alpha:
+                pullbacks.add(s.min_nbhd)
+        between = list(preorders_between(alpha_topology(t).min_nbhd, t.min_nbhd))
+        assert between == sorted(pullbacks), t
+
+
+def _automorphisms_brute_force(rows):
+    # the point bijections that carry the open sets onto themselves
+    t = from_preorder(rows)
+    opens = set(t.opens)
+    return sum(
+        {mask_of(sigma[x] for x in iter_points(u)) for u in opens} == opens
+        for sigma in permutations(range(t.n))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_automorphism_counts(n):
+    classes = homeo_tables(n)
+    for rows in classes:
+        assert automorphism_count(rows) == _automorphisms_brute_force(rows), rows
+    # the orbits of the classes are the labeled census (A000798)
+    orbits = sum(factorial(n) // automorphism_count(rows) for rows in classes)
+    assert orbits == (1, 4, 29, 355, 6942)[n - 1]
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [(discrete(8),), (discrete(2), discrete(8), discrete(9))],
+    ids=["discrete-8", "first-pair-past-the-budget"],
+)
+def test_fm1_budget_error_as_enumeration_raises_it(pool):
+    with pytest.raises(ValueError) as expected:
+        fm1_report_by_enumeration(pool)
+    with pytest.raises(ValueError) as raised:
+        run_suite("thm-fm1", pool)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == "16777216 maps exceed the budget of 1000000"
 
 
 @pytest.mark.parametrize("suite", SUITE_TAGS)
