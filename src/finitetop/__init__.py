@@ -10,7 +10,6 @@ from .spaces import (
     full_set,
     indiscrete,
     mask_of,
-    minimal_nbhd,
     product,
     space_from_json,
     space_to_json,

@@ -162,40 +162,26 @@ def enumerate_preorders(n: int) -> Iterator[tuple[int, ...]]:
     """Every reflexive transitive relation on n points, lexicographic order.
 
     A relation is its tuple of up-set rows: row x is the mask of points y
-    with x <= y, the table that from_preorder takes.
-    """
-    return preorders_between(tuple(1 << x for x in range(n)), (full_set(n),) * n)
-
-
-def preorders_between(
-    lower: tuple[int, ...], upper: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """Every preorder table S with lower[x] ⊆ S[x] ⊆ upper[x] for each x.
-
-    lower[x] must hold x.  Tables come in lexicographic order.  Row i lies
-    inside upper[i] and inside every placed row that holds i, so it runs
-    over lower[i] joined with the ascending submasks of the rest of their
-    meet, and it is kept when it holds the row of each placed point in it:
-    pairwise row containment is exactly transitivity.
+    with x <= y, the table that from_preorder takes.  Row i lies inside
+    every placed row that holds i, so it runs over the ascending submasks
+    of their meet that hold i, and it is kept when it holds the row of
+    each placed point in it.
     """
     rows: list[int] = []
-    n = len(upper)
+    full = full_set(n)
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
             yield tuple(rows)
             return
-        bit, low = 1 << i, lower[i]
-        meet = upper[i]
+        bit = 1 << i
+        meet = full & ~bit
         for rj in rows:
             if rj & bit:
                 meet &= rj
-        if low & ~meet:
-            return
-        free = meet & ~low
         s = 0
         while True:
-            r = s | low
+            r = s | bit
             for j in iter_points(r & (bit - 1)):
                 if rows[j] & ~r:
                     break
@@ -203,9 +189,9 @@ def preorders_between(
                 rows.append(r)
                 yield from rec(i + 1)
                 rows.pop()
-            if s == free:
+            if s == meet:
                 return
-            s = (s - free) & free
+            s = (s - meet) & meet
 
     return rec(0)
 
@@ -327,14 +313,6 @@ def _space_key(t: Topology) -> tuple[int, ...]:
     return least_table(t.min_nbhd)
 
 
-def table_key(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """class_key of the space with this table, without building the space
-    or caching its key."""
-    if len(rows) <= MAX_LABELED_N:
-        return _class_index(len(rows))[rows]
-    return least_table(rows)
-
-
 @lru_cache(maxsize=None)
 def automorphism_count(rows: tuple[int, ...]) -> int:
     """|Aut| of the space with this table: the bijections that fix it.
@@ -390,11 +368,6 @@ def _are_twins(rows: tuple[int, ...], down: list[int], x: int, y: int) -> bool:
 @lru_cache(maxsize=None)
 def labeled_census(n: int) -> tuple[Topology, ...]:
     return tuple(enumerate_topologies(n))
-
-
-@lru_cache(maxsize=None)
-def homeo_census(n: int) -> tuple[Topology, ...]:
-    return tuple(enumerate_topologies(n, up_to_homeo=True))
 
 
 def census_records(n: int, up_to_homeo: bool = False) -> Iterator[CensusRecord]:

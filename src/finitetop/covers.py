@@ -53,8 +53,8 @@ FINITE_SPACE_REASONS = {
     "alpha-compact": "the alpha-refinement is again a finite space, so it is compact",
 }
 
-# Verdicts inside the law suites that a finite-space theorem fixes, each
-# True on every finite space for the reason beside it.
+# Verdicts inside the law suites and searches that a finite-space theorem
+# fixes, each True on every finite space for the reason beside it.
 # thm-2.2 (b)/(c): a regular-closed cover is its own locally finite refinement
 REGULAR_CLOSED_REFINABLE = True
 # thm-final: the minimal open cover is a finite open refinement of every open cover
@@ -63,6 +63,9 @@ PARACOMPACT = True
 SIGMA_DISCRETE = True
 # lemma-lfm1: a finite family is closure-preserving, closure being finitely additive
 SIGMA_CLOSURE_PRESERVING = True
+# question 2: T^α is subparacompact iff T is alpha-subparacompact, because
+# either side makes T nodec (T^α = T), and then both scan one table
+QUESTION2_EQUIVALENCE = True
 
 
 def property_reason(prop: str) -> Optional[str]:

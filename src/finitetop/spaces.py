@@ -137,15 +137,6 @@ class Topology:
                 m |= 1 << x
         return m
 
-    def open_hull(self, a: int) -> int:
-        """Smallest open superset of a (unions of minimal neighborhoods);
-        points outside the space are ignored."""
-        a &= full_set(self.n)
-        m = a
-        for x in iter_points(a):
-            m |= self.min_nbhd[x]
-        return m
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Topology) and self.min_nbhd == other.min_nbhd
 
@@ -213,13 +204,6 @@ def discrete(n: int) -> Topology:
 
 def indiscrete(n: int) -> Topology:
     return build_topology(n, [])
-
-
-def minimal_nbhd(t: Topology, x: int) -> int:
-    """Smallest open set containing point x."""
-    if not 0 <= x < t.n:
-        raise ValueError(f"point {x} out of range for an {t.n}-point space")
-    return t.min_nbhd[x]
 
 
 def subspace(t: Topology, a: int) -> tuple[Topology, tuple[int, ...]]:

@@ -9,9 +9,9 @@ byte for byte.
 Most laws say that a class or a property of T is the same in T^α; those
 suites are built by ``_classes_agree`` and ``_properties_transfer`` from
 the kinds or properties they compare, and the plain implications by
-``_implies``.  Each search predicate is one function from its spaces to a
-``Witness`` or None, and ``Witness.re_check`` runs that function again on
-the witness's spaces.  Judging witnesses independently of that code is the
+``_implies``.  Each search predicate but question 2, which a theorem
+settles, is one function from its spaces to a ``Witness`` or None, and
+``Witness.re_check`` runs that function again on the witness's spaces.  Judging witnesses independently of that code is the
 job of the definitional oracles in the test suite.
 
 Whether a suite fired on a space, and whether it found a violation, are
@@ -27,21 +27,15 @@ likewise decides each product once per pair of factor classes, and
 ``census.profile`` profiles each class once.
 
 The image law (thm-fm1) is counted, not enumerated.  Between spaces of
-equal size every surjection is a bijection f: T -> S.  With S' = f⁻¹S on
-T's points, f is closed iff T ⊆ S', and α-irresolute iff S'^α ⊆ T^α.  By
-Njåstad (Pacific J. Math. 15, 1965), T ⊆ S' ⊆ T^α implies S'^α = T^α, so
-f is both iff S' lies between T and T^α: A_x ⊆ S'_x ⊆ U_x for every point
-x, with U the table of T and A that of T^α.  Each table S' of S's class
-is the pullback of exactly |Aut S| bijections, so an α-subparacompact T
-has count(S) × |Aut S| applicable maps onto S, where count(S) is the
-number of tables between T and T^α in S's class.  Those counts are taken
-once per domain class (``_images_by_class``), |Aut S| once per codomain
-class (``census.automorphism_count``), and the pool is summed class by
-class; every pair adds n! checked maps, and the maps not applicable are
-vacuous.  A pair is enumerated map by map, in pool order, only when its
-domain is α-subparacompact, it has applicable maps and its codomain is
-not (a violation), or when its two spaces differ in size; so violation
-details read as before.
+equal size every surjection is a bijection f: T -> S, closed and
+α-irresolute iff the pullback f⁻¹S lies between T and T^α (Njåstad,
+Pacific J. Math. 15, 1965).  An α-subparacompact T is nodec, T^α = T (the
+lemma in README), so those maps are the homeomorphisms: |Aut T| from each
+member of T's class in the pool onto each, and none breaks the law.  Every
+pair adds n! checked maps, and the maps not applicable are vacuous.  A pair
+is enumerated map by map, in pool order, only when its two spaces differ in
+size, or when its domain reads as α-subparacompact but not nodec, which the
+lemma rules out; so violation details read as before.
 """
 
 from __future__ import annotations
@@ -79,9 +73,7 @@ from .census import (
     automorphism_count,
     class_key,
     labeled_census,
-    preorders_between,
     space_id,
-    table_key,
 )
 
 SUITE_TAGS = (
@@ -392,10 +384,10 @@ _PER_SPACE_SUITES = {
 def _suite_fm1(pool: tuple[Topology, ...]) -> Report:
     """Count the image law's maps over every ordered pair of the pool.
 
-    A pair of equal size is counted, never enumerated (see the module
-    docstring); a pair of unequal size is enumerated.  The pairs whose maps
-    are enumerated are taken in pool order, so violation details come out
-    as map-by-map enumeration lists them.
+    A pair of equal size is counted (see the module docstring); a pair of
+    unequal size is enumerated.  The pairs whose maps are enumerated are
+    taken in pool order, so violation details come out as map-by-map
+    enumeration lists them.
     """
     # the budget error that enumerating the first pair past it raises
     firsts: dict[int, Topology] = {}
@@ -405,48 +397,33 @@ def _suite_fm1(pool: tuple[Topology, ...]) -> Report:
         for y in firsts.values():
             check_map_budget(x, y)
 
-    keys = [class_key(t) if t.n <= MAX_HOMEO_N else table_key(t.min_nbhd) for t in pool]
+    keys = [class_key(t) for t in pool]
     members = Counter(keys)
     sizes = Counter(t.n for t in pool)
     checked = applicable = 0
-    breaking: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for dkey, d in members.items():
-        n = len(dkey)
-        checked += d * sizes[n] * factorial(n)
-        if not check_property(from_preorder(dkey), "alpha-subparacompact"):
-            continue
-        for ckey, between in _images_by_class(dkey):
-            c = members.get(ckey)
-            if c:
-                applicable += d * c * between * automorphism_count(ckey)
-                if not check_property(from_preorder(ckey), "alpha-subparacompact"):
-                    breaking.setdefault(dkey, set()).add(ckey)
+    # domain classes whose maps onto equal sizes are enumerated too
+    enumerated: set[tuple[int, ...]] = set()
+    for key, d in members.items():
+        t = from_preorder(key)
+        if check_property(t, "alpha-subparacompact"):
+            if not check_property(t, "nodec"):
+                # the nodec lemma rules this out; enumerate, do not count
+                enumerated.add(key)
+                continue
+            # the applicable maps are the homeomorphisms within the class
+            applicable += d * d * automorphism_count(key)
+        checked += d * sizes[t.n] * factorial(t.n)
     vacuous = checked - applicable
 
     violations: list[tuple[str, str]] = []
-    if breaking or len(sizes) > 1:
+    if enumerated or len(sizes) > 1:
         for dom, dkey in zip(pool, keys):
-            broken = breaking.get(dkey, ())
-            for cod, ckey in zip(pool, keys):
-                if cod.n != dom.n:
+            for cod in pool:
+                if cod.n != dom.n or dkey in enumerated:
                     pair_checked, pair_vacuous = _enumerate_fm1(dom, cod, violations)
                     checked += pair_checked
                     vacuous += pair_vacuous
-                elif ckey in broken:
-                    _enumerate_fm1(dom, cod, violations)
     return Report("thm-fm1", checked, tuple(violations), vacuous)
-
-
-@lru_cache(maxsize=None)
-def _images_by_class(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(class key, count) of the tables between T and T^α, T the class's table.
-
-    These tables S' are the pullbacks f⁻¹S of the bijections f out of T to
-    which the image law applies.
-    """
-    t = from_preorder(key)
-    between = preorders_between(alpha_topology(t).min_nbhd, t.min_nbhd)
-    return tuple(Counter(map(table_key, between)).items())
 
 
 def _enumerate_fm1(dom: Topology, cod: Topology, violations: list) -> tuple[int, int]:
@@ -487,13 +464,18 @@ def search(predicate: str, max_n: int) -> list[Witness]:
     """Sweep the labeled censuses from n=1 upward and collect all witnesses.
 
     The sweep always starts at one point, so an empty result at some n is a
-    computed fact about every smaller space as well.
+    computed fact about every smaller space as well.  Question 2 is settled
+    by a theorem instead, so its search sweeps nothing and finds nothing.
     """
     if predicate not in SEARCH_PREDICATES:
         raise ValueError(f"unknown search predicate {predicate!r}")
     # every sweep enumerates labeled censuses, so check before the first one
     if not 1 <= max_n <= MAX_LABELED_N:
         raise ValueError(f"max_n must be in 1..{MAX_LABELED_N}, got {max_n}")
+    if predicate == "question2-witness":
+        # a witness would break covers.QUESTION2_EQUIVALENCE, which holds on
+        # every finite space
+        return []
     if predicate == "question1-witness":
         candidates = _factor_pairs(max_n)
     else:
@@ -560,21 +542,6 @@ def _search_non_nodec(t: Topology) -> Optional[Witness]:
     )
 
 
-def _search_question2(t: Topology) -> Optional[Witness]:
-    if not check_property(alpha_topology(t), "subparacompact"):
-        return None
-    if check_property(t, "alpha-subparacompact"):
-        return None
-    return Witness(
-        "question2-witness",
-        t.n,
-        (t,),
-        (),
-        f"T = {family_text(t.opens, t.n)}: the alpha-refinement is subparacompact "
-        f"but the base space is not alpha-subparacompact",
-    )
-
-
 def _search_question1(t1: Topology, t2: Topology) -> Optional[Witness]:
     asp = "alpha-subparacompact"
     if not check_property(t1, asp) or not check_property(t2, asp):
@@ -621,7 +588,6 @@ _SEARCHES = {
     "compact-not-alpha-subparacompact": _search_compact_not_asp,
     "non-nodec": _search_non_nodec,
     "question1-witness": _search_question1,
-    "question2-witness": _search_question2,
 }
 
 

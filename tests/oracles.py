@@ -23,12 +23,14 @@ point at a time, in or out, and judge production's doubling over classes
 of equivalent points.
 
 The per-mask class formulas (CLASS_FORMULAS, is_in_class_per_mask) ask the
-space's own closure and interior about one mask at a time.  Production
-states each formula once over closure, interior and open-hull lookups and
-scans whole classes on tables; these judge those scans.  The single-mask
-form of production's own formulas (hull, is_in_class) passes them adapters
-whose ``[]`` calls the space's methods, so a scan's table and a method call
-answer one formula each.
+space's own closure and interior, and open_hull here, about one mask at a
+time.  Production states each formula once over closure, interior and
+open-hull lookups and scans whole classes on tables; these judge those
+scans.  The single-mask form of production's own formulas (hull,
+is_in_class) passes them adapters whose ``[]`` calls those functions, so a
+scan's table and a function call answer one formula each.  The census up to
+homeomorphism as a cached tuple (homeo_census) and the range-checked
+minimal_nbhd lookup serve the tests alone, so they live here too.
 
 A census record's JSON object (record_to_obj) is the reference for the
 census file codec: write_census formats each line from cached texts, and
@@ -36,18 +38,24 @@ each line must equal json.dumps of this object.
 
 The image law by enumeration (fm1_report_by_enumeration) builds and checks
 every surjection between every ordered pair of a pool, map by map.
-Production counts the maps of a pair of equal size from the tables between
-T and T^α and the automorphism counts of the codomains instead.
+Production counts the maps of a pair of equal size instead: out of an
+alpha-subparacompact, hence nodec, domain they are its homeomorphisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from finitetop import Topology, alpha_topology, set_class
-from finitetop.census import CensusRecord, enumerate_preorders, space_id
+from finitetop.census import (
+    CensusRecord,
+    enumerate_preorders,
+    enumerate_topologies,
+    space_id,
+)
 from finitetop.maps import enumerate_maps, verify_fm1
 from finitetop.operators import (
     CLASS_KINDS,
@@ -409,6 +417,12 @@ def count_topologies_direct(n: int) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
+def homeo_census(n: int) -> tuple[Topology, ...]:
+    """Production's census up to homeomorphism, built once per n."""
+    return tuple(enumerate_topologies(n, up_to_homeo=True))
+
+
 def sweep_homeo_census(n: int) -> tuple[Topology, ...]:
     """The first space of each homeomorphism class in the labeled order,
     by sweeping every labeled space."""
@@ -523,8 +537,25 @@ def is_homeomorphic(t1: Topology, t2: Topology) -> bool:
 
 # --- per-mask class formulas -----------------------------------------------
 
+def minimal_nbhd(t: Topology, x: int) -> int:
+    """Smallest open set containing point x."""
+    if not 0 <= x < t.n:
+        raise ValueError(f"point {x} out of range for an {t.n}-point space")
+    return t.min_nbhd[x]
+
+
+def open_hull(t: Topology, a: int) -> int:
+    """Smallest open superset of a (unions of minimal neighborhoods);
+    points outside the space are ignored."""
+    a &= full_set(t.n)
+    m = a
+    for x in iter_points(a):
+        m |= t.min_nbhd[x]
+    return m
+
+
 def _is_g_closed(t: Topology, a: int) -> bool:
-    return t.closure(a) & ~t.open_hull(a) == 0
+    return t.closure(a) & ~open_hull(t, a) == 0
 
 
 def _is_sg_closed(t: Topology, a: int) -> bool:
@@ -577,7 +608,7 @@ def class_scan_per_mask(t: Topology, kind: str) -> tuple[int, ...]:
 # --- production's formulas, one mask at a time --------------------------------
 
 class _MethodLookup:
-    # indexing calls a Topology method, so a formula written over tables
+    # indexing calls a function of one mask, so a formula written over tables
     # answers one mask
     __slots__ = ("method",)
 
@@ -592,7 +623,7 @@ def _method_lookups(t: Topology) -> tuple:
     return (
         _MethodLookup(t.closure),
         _MethodLookup(t.interior),
-        _MethodLookup(t.open_hull),
+        _MethodLookup(partial(open_hull, t)),
         full_set(t.n),
     )
 

@@ -18,7 +18,7 @@ from finitetop import (
     search,
     write_census,
 )
-from finitetop.census import census_records, homeo_census, labeled_census
+from finitetop.census import census_records, labeled_census
 from finitetop.verifier import search_counts, witness_to_obj
 from oracles import (
     CONSTRAINTS,
@@ -28,6 +28,7 @@ from oracles import (
     every_cover_has_refinement_exhaustive,
     has_refinement,
     has_refinement_exhaustive,
+    homeo_census,
     irredundant_covers,
 )
 

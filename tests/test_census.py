@@ -29,13 +29,13 @@ from finitetop.census import (
     census_records,
     enumerate_preorders,
     enumerate_topologies,
-    homeo_census,
     homeo_tables,
     labeled_census,
     least_table,
 )
 from oracles import (
     count_topologies_direct,
+    homeo_census,
     is_homeomorphic,
     least_relabelling,
     record_to_obj,

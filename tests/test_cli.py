@@ -47,7 +47,9 @@ def object_text(fields):
 # factor pair decided it, at commit e75ad1c; the 5-point labeled census, as
 # one profile per labeled space printed it, at commit 787841b; the 4-point
 # thm-fm1 sample in JSON, as map-by-map enumeration printed it, at commit
-# d0cd047); census files, space ids and report text stay byte-identical
+# d0cd047; the 5-point question 2 search in both formats, as the sweep of
+# every labeled space printed it, at commit 15f9847); census files, space ids
+# and report text stay byte-identical
 PINNED_STDOUT_SHA256 = {
     "census --n 4": "e32541eee516ae3900ede709dd60c8f8ade0f2b2617885bde3650328ca3d8fcd",
     "census --n 5": "f1c6f8afcb81285df557c3a016168979f8593a7facdee9d7bc219d7ba6a3866b",
@@ -83,6 +85,12 @@ PINNED_STDOUT_SHA256 = {
     ),
     "verify --n 4 --suite thm-fm1 --format json": (
         "d0b4538809692727ca813a32de41185697e68c1f7459712a51d5c612d75b5e38"
+    ),
+    "search --predicate question2-witness --max-n 5": (
+        "67bba9bc92abeaad9d1dcdd74b5666710630483db45b345a4f11a57507dd7d58"
+    ),
+    "search --predicate question2-witness --max-n 5 --format json": (
+        "b96a87072cc205a6bada44d2630a6b1054046c35dc1cd7138e3ac117f9136348"
     ),
 }
 

@@ -29,6 +29,7 @@ from oracles import (
     has_refinement_exhaustive,
     hull,
     irredundant_covers,
+    open_hull,
     refines,
 )
 
@@ -329,7 +330,7 @@ def normal_loop(t):
     # disjoint closed sets have disjoint open hulls
     closed = set_class(t, "closed")
     return all(
-        t.open_hull(a) & t.open_hull(b) == 0
+        open_hull(t, a) & open_hull(t, b) == 0
         for a in closed
         for b in closed
         if a & b == 0

@@ -20,7 +20,7 @@ from finitetop import (
 from finitetop.census import labeled_census
 from finitetop.operators import _SCOPE, _table_lookups, table_scope
 from finitetop.spaces import complement, full_set
-from oracles import class_scan_per_mask, hull, is_in_class
+from oracles import class_scan_per_mask, hull, is_in_class, open_hull
 
 
 # --- independent oracles ---------------------------------------------------------
@@ -149,7 +149,7 @@ DUAL_LITERALS = {
     "alpha-closed": _on_complement(
         lambda t, b: b & ~t.interior(t.closure(t.interior(b))) == 0
     ),
-    "g-open": _on_complement(lambda t, b: t.closure(b) & ~t.open_hull(b) == 0),
+    "g-open": _on_complement(lambda t, b: t.closure(b) & ~open_hull(t, b) == 0),
     "sg-open": _on_complement(sg_closed_containment),
 }
 

@@ -18,13 +18,8 @@ from finitetop import (
     space_id,
     verifier,
 )
-from finitetop.census import (
-    automorphism_count,
-    class_key,
-    homeo_tables,
-    labeled_census,
-    preorders_between,
-)
+from finitetop.census import automorphism_count, class_key, homeo_tables, labeled_census
+from finitetop.covers import QUESTION2_EQUIVALENCE
 from finitetop.spaces import from_preorder, iter_points, mask_of, set_text
 from oracles import (
     SetFamily,
@@ -32,6 +27,7 @@ from oracles import (
     every_cover_has_refinement_exhaustive,
     fm1_report_by_enumeration,
     has_refinement_exhaustive,
+    homeo_census,
     is_homeomorphic,
 )
 from finitetop.verifier import (
@@ -185,13 +181,26 @@ def test_fm1_count_over_the_four_point_census():
     assert report == Report("thm-fm1", 3024600, (), 3022320)
 
 
-def test_alpha_subparacompact_spaces_are_nodec():
-    # so the law's maps out of such a space are homeomorphisms: an honest
-    # pool reaches no class but the domain's own
+def _lemma_spaces():
+    # every labeled space with n <= 5, and every class on 6 and 7 points
     for n in (1, 2, 3, 4, 5):
-        for t in labeled_census(n):
-            if check_property(t, "alpha-subparacompact"):
-                assert alpha_topology(t) == t, t
+        yield from labeled_census(n)
+    for n in (6, 7):
+        yield from map(from_preorder, homeo_tables(n))
+
+
+def test_alpha_subparacompact_spaces_are_nodec():
+    # the nodec lemma (README): an alpha-subparacompact T, and a T whose T^α
+    # is subparacompact, has T^α = T.  So the law's maps out of such a space
+    # are homeomorphisms, and question 2 has no finite witness
+    for t in _lemma_spaces():
+        ta = alpha_topology(t)
+        if check_property(t, "alpha-subparacompact"):
+            assert ta == t, t
+        if check_property(ta, "subparacompact"):
+            assert ta == t, t
+        agree = check_property(ta, "subparacompact") == check_property(t, "alpha-subparacompact")
+        assert agree == QUESTION2_EQUIVALENCE, t
 
 
 @pytest.mark.parametrize("pool", [labeled_census(3), MIXED_POOL], ids=["census-3", "mixed"])
@@ -235,7 +244,12 @@ def test_sandwich_lemma(n):
             assert (closed and s_alpha <= t_alpha) == (closed and s_opens <= t_alpha)
             if closed and s_alpha <= t_alpha:
                 pullbacks.add(s.min_nbhd)
-        between = list(preorders_between(alpha_topology(t).min_nbhd, t.min_nbhd))
+        lower, upper = alpha_topology(t).min_nbhd, t.min_nbhd
+        between = [
+            s.min_nbhd
+            for s, _, _ in spaces
+            if all(a & ~r == 0 and r & ~u == 0 for a, r, u in zip(lower, s.min_nbhd, upper))
+        ]
         assert between == sorted(pullbacks), t
 
 
@@ -280,22 +294,18 @@ def test_all_suites_pass_on_small_censuses(suite):
         assert report.passed, report.to_text()
 
 
-def test_all_suites_pass_at_n4_with_sampled_fm1():
+def test_all_suites_pass_on_the_four_point_census():
     pool = labeled_census(4)
     for suite in SUITE_TAGS:
-        stream = pool[:8] if suite == "thm-fm1" else pool
-        report = run_suite(suite, stream)
+        report = run_suite(suite, pool)
         assert report.passed, report.to_text()
 
 
 @pytest.mark.slow
 def test_all_suites_pass_on_homeo_census_n5():
-    from finitetop.census import homeo_census
-
     pool = homeo_census(5)
     for suite in SUITE_TAGS:
-        stream = pool[:6] if suite == "thm-fm1" else pool
-        report = run_suite(suite, stream)
+        report = run_suite(suite, pool)
         assert report.passed, report.to_text()
 
 
