@@ -1,18 +1,17 @@
 """Exhaustive enumeration of all topologies on small point sets.
 
-The labeled census enumerates reflexive transitive relations by
-backtracking over per-point up-set masks (pairwise row containment checks
-are exactly transitivity) and maps each relation to its topology of
-upward-closed sets.  The census up to homeomorphism never builds the
-labeled spaces: it grows the classes one point at a time from the classes
-on one point fewer and keys each candidate by its least relabelled table,
-which is also the first labeled space of its class.  Up to MAX_LABELED_N
-points a relabelling index, built on first use by moving every class table
-through all n! bijections, gives each labeled table its class key by
-lookup, and each class is profiled once.  The test suite's oracles
-(tests/oracles.py) are the far slower direct route — filtering every family
-of subsets for closure under union and intersection — for the labeled
-counts, and the labeled sweep deduplicated by a cell-layout form for the
+One generator builds both censuses.  The census up to homeomorphism never
+builds the labeled spaces: it grows the classes one point at a time from
+the classes on one point fewer and keys each candidate by its least
+relabelled table, which is also the first labeled space of its class.  The
+labeled census is the relabelling index, built on first use by moving every
+class table through all n! bijections: its tables in ascending order are
+the labeled tables, and each keeps its class key.  Up to MAX_LABELED_N
+points class_key is a lookup in that index, and each class is profiled
+once.  The test suite's oracles (tests/oracles.py) are the slower
+independent routes: backtracking over up-set rows and filtering every
+family of subsets for closure under union and intersection for the labeled
+census, and the labeled sweep deduplicated by a cell-layout form for the
 classes.
 
 Census files go through one text codec.  Each open set's JSON text is
@@ -162,38 +161,12 @@ def enumerate_preorders(n: int) -> Iterator[tuple[int, ...]]:
     """Every reflexive transitive relation on n points, lexicographic order.
 
     A relation is its tuple of up-set rows: row x is the mask of points y
-    with x <= y, the table that from_preorder takes.  Row i lies inside
-    every placed row that holds i, so it runs over the ascending submasks
-    of their meet that hold i, and it is kept when it holds the row of
-    each placed point in it.
+    with x <= y, the table that from_preorder takes.  They are the tables
+    of the relabelling index, which holds every relabelling of every class
+    of homeo_tables(n).
     """
-    rows: list[int] = []
-    full = full_set(n)
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(rows)
-            return
-        bit = 1 << i
-        meet = full & ~bit
-        for rj in rows:
-            if rj & bit:
-                meet &= rj
-        s = 0
-        while True:
-            r = s | bit
-            for j in iter_points(r & (bit - 1)):
-                if rows[j] & ~r:
-                    break
-            else:
-                rows.append(r)
-                yield from rec(i + 1)
-                rows.pop()
-            if s == meet:
-                return
-            s = (s - meet) & meet
-
-    return rec(0)
+    _check_point_count(n, MAX_HOMEO_N, "the labeled tables")
+    return iter(sorted(_class_index(n)))
 
 
 def enumerate_topologies(n: int, up_to_homeo: bool = False) -> Iterator[Topology]:
@@ -203,12 +176,16 @@ def enumerate_topologies(n: int, up_to_homeo: bool = False) -> Iterator[Topology
     least table (see homeo_tables): the first space of the class in the
     labeled order.
     """
-    cap = MAX_HOMEO_N if up_to_homeo else MAX_LABELED_N
-    if not 1 <= n <= cap:
-        raise ValueError(f"enumeration budget is n <= {cap} for this mode, got {n}")
     if up_to_homeo:
+        _check_point_count(n, MAX_HOMEO_N, "the census up to homeomorphism")
         return (from_preorder(rows) for rows in homeo_tables(n))
+    _check_point_count(n, MAX_LABELED_N, "the labeled census")
     return (from_preorder(r) for r in enumerate_preorders(n))
+
+
+def _check_point_count(n: int, cap: int, census: str) -> None:
+    if not 1 <= n <= cap:
+        raise ValueError(f"n must be in 1..{cap} for {census}, got {n}")
 
 
 def homeo_tables(n: int) -> tuple[tuple[int, ...], ...]:
@@ -253,7 +230,8 @@ def least_table(rows: tuple[int, ...]) -> tuple[int, ...]:
     """The lexicographically least relabelling of a table over all bijections.
 
     Homeomorphic spaces share it, so it is a complete key, and it is the
-    first space of the class in enumerate_preorders order.  Positions are
+    first table of the class in the ascending labeled order
+    (enumerate_preorders).  Positions are
     filled in order.  A point q put at position k gets at least the row
     image[q] (the positions of its placed up-set) plus the next c_q
     positions, c_q = |U_q unplaced|.  When q's bound is least, every other
@@ -341,7 +319,9 @@ def _class_index(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
 
     Each table of homeo_tables(n) is relabelled by all n! bijections sigma:
     the row of point x moves to position sigma[x], and each of its bits y
-    moves to bit sigma[y].
+    moves to bit sigma[y].  Every space is a relabelling of its class's
+    table, so the keys are the whole labeled census; enumerate_preorders
+    hands them out in ascending order.
     """
     index: dict[tuple[int, ...], tuple[int, ...]] = {}
     classes = homeo_tables(n)

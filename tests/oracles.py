@@ -14,9 +14,12 @@ agreement with the reduction and with production is evidence for the
 reductions rather than a restatement of them.  The topology count by filtering every subset family lives here too,
 and so does the backtracking homeomorphism search (find_homeomorphism,
 is_homeomorphic) that judges the census's least-table key.  The reference
-homeomorphism census (sweep_homeo_census) builds every labeled space and
-keeps the first of each cell-layout form, a key computed another way than
-production's least table over all bijections.
+labeled census (backtracked_preorders) places one up-set row at a time,
+checking transitivity row against row; production relabels the classes of
+its one-point-extension census instead.  The reference homeomorphism
+census (sweep_homeo_census) builds every labeled space of that reference
+and keeps the first of each cell-layout form, a key computed another way
+than production's least table over all bijections.
 
 The open sets by depth-first search (upward_closed_sets_dfs) decide one
 point at a time, in or out, and judge production's doubling over classes
@@ -50,12 +53,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from finitetop import Topology, alpha_topology, set_class
-from finitetop.census import (
-    CensusRecord,
-    enumerate_preorders,
-    enumerate_topologies,
-    space_id,
-)
+from finitetop.census import CensusRecord, enumerate_topologies, space_id
 from finitetop.maps import enumerate_maps, verify_fm1
 from finitetop.operators import (
     CLASS_KINDS,
@@ -401,6 +399,44 @@ def upward_closed_sets_dfs(n: int, nbhd: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def backtracked_preorders(n: int) -> Iterator[tuple[int, ...]]:
+    """Every reflexive transitive relation on n points, lexicographic order.
+
+    A relation is its tuple of up-set rows: row x is the mask of points y
+    with x <= y, the table that from_preorder takes.  Row i lies inside
+    every placed row that holds i, so it runs over the ascending submasks
+    of their meet that hold i, and it is kept when it holds the row of
+    each placed point in it.
+    """
+    rows: list[int] = []
+    full = full_set(n)
+
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(rows)
+            return
+        bit = 1 << i
+        meet = full & ~bit
+        for rj in rows:
+            if rj & bit:
+                meet &= rj
+        s = 0
+        while True:
+            r = s | bit
+            for j in iter_points(r & (bit - 1)):
+                if rows[j] & ~r:
+                    break
+            else:
+                rows.append(r)
+                yield from rec(i + 1)
+                rows.pop()
+            if s == meet:
+                return
+            s = (s - meet) & meet
+
+    return rec(0)
+
+
 def count_topologies_direct(n: int) -> int:
     """Filter every subset family for closure under union/intersection.
     Doubly exponential; meant for n <= 4."""
@@ -426,7 +462,7 @@ def homeo_census(n: int) -> tuple[Topology, ...]:
 def sweep_homeo_census(n: int) -> tuple[Topology, ...]:
     """The first space of each homeomorphism class in the labeled order,
     by sweeping every labeled space."""
-    return tuple(_first_of_each_form(from_preorder(r) for r in enumerate_preorders(n)))
+    return tuple(_first_of_each_form(from_preorder(r) for r in backtracked_preorders(n)))
 
 
 def _first_of_each_form(stream: Iterable[Topology]) -> Iterator[Topology]:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -14,6 +15,7 @@ from finitetop import (
     build_topology,
     census,
     discrete,
+    from_preorder,
     indiscrete,
     profile,
     read_census,
@@ -34,6 +36,7 @@ from finitetop.census import (
     least_table,
 )
 from oracles import (
+    backtracked_preorders,
     count_topologies_direct,
     homeo_census,
     is_homeomorphic,
@@ -43,7 +46,8 @@ from oracles import (
     sweep_homeo_census,
 )
 
-LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
+# OEIS A000798, topologies on n labeled points
+LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}
 # OEIS A001930, topologies on n points up to homeomorphism
 HOMEO_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139, 6: 718, 7: 4535}
 
@@ -57,11 +61,19 @@ def test_labeled_counts(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_labeled_tables_are_the_sorted_relabellings_of_the_classes(n):
-    # the order too: the labeled stream ascends by table
+    # the order too: the reference census ascends by table
     tables = {
         relabelled(rows, order) for rows in homeo_tables(n) for order in permutations(range(n))
     }
-    assert list(enumerate_preorders(n)) == sorted(tables)
+    assert list(backtracked_preorders(n)) == sorted(tables)
+
+
+@pytest.mark.parametrize("n", sorted(LABELED_COUNTS))
+def test_labeled_tables_equal_the_backtracking_census(n):
+    # production relabels the classes; the reference places one row at a time
+    tables = list(enumerate_preorders(n))
+    assert len(tables) == LABELED_COUNTS[n]
+    assert tables == list(backtracked_preorders(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -113,7 +125,7 @@ def test_canonical_form_decides_homeomorphism(n):
 def test_class_index_keys_every_labeled_table(n):
     index = census._class_index(n)
     assert len(index) == LABELED_COUNTS[n]
-    assert set(index) == set(enumerate_preorders(n))
+    assert set(index) == set(backtracked_preorders(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -139,6 +151,22 @@ def test_least_table_is_least_relabelling_on_5_point_classes():
         assert least_table(rotated) == least_relabelling(rotated) == rows
 
 
+def test_least_table_on_random_spaces_beyond_the_census():
+    # seeded spaces on 6..10 points from random generators, each also under
+    # a random relabelling; the all-bijections oracle is affordable at 6
+    rng = random.Random(606)
+    for _ in range(200):
+        n = rng.randint(6, 10)
+        t = build_topology(n, [rng.getrandbits(n) for _ in range(rng.randint(0, n + 2))])
+        rows = t.min_nbhd
+        moved = relabelled(rows, rng.sample(range(n), n))
+        key = least_table(rows)
+        assert least_table(moved) == key, (rows, moved)
+        if n <= 6:
+            assert key == least_relabelling(rows), rows
+        assert census.class_key(from_preorder(moved)) == census.class_key(t), (rows, moved)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_extension_census_equals_labeled_sweep(n):
     # table for table and in order, against the first space of each
@@ -152,10 +180,17 @@ def test_homeo_tables_follow_a001930(n):
 
 
 def test_enumeration_budget():
-    with pytest.raises(ValueError):
-        enumerate_topologies(6)
-    with pytest.raises(ValueError):
-        enumerate_topologies(7, up_to_homeo=True)
+    # each guard names the range it accepts
+    guards = (
+        ("the labeled census", 5, enumerate_topologies),
+        ("the census up to homeomorphism", 6, partial(enumerate_topologies, up_to_homeo=True)),
+        ("the labeled tables", 6, enumerate_preorders),
+    )
+    for name, cap, enumerate_n in guards:
+        for n in (-1, 0, cap + 1):
+            with pytest.raises(ValueError) as excinfo:
+                enumerate_n(n)
+            assert str(excinfo.value) == f"n must be in 1..{cap} for {name}, got {n}"
 
 
 # --- profiles --------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Command-line behavior: subcommands, formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIXTEEN_POINT_PRODUCTS
-from finitetop import CLASS_KINDS, indiscrete, space_to_json, verifier
+from finitetop import CLASS_KINDS, census as census_mod, indiscrete, space_to_json, verifier
 from finitetop.census import CENSUS_FORMAT, CensusRecord, profile, space_id
 from finitetop.cli import main
 from oracles import record_to_obj
@@ -468,6 +471,77 @@ def test_verify_census_huge_integer_names_its_line(capsys, tmp_path, where):
     code, out, err = run_cli(capsys, "verify", "--census", str(path), "--suite", "prop-p1")
     assert (code, out) == (2, "")
     assert err.startswith(f"finitetop: error: line {line}:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("census", "--n", "0"), "n must be in 1..5 for the labeled census, got 0"),
+        (("census", "--n", "6"), "n must be in 1..5 for the labeled census, got 6"),
+        (
+            ("census", "--n", "0", "--up-to-homeo"),
+            "n must be in 1..6 for the census up to homeomorphism, got 0",
+        ),
+        (
+            ("census", "--n", "7", "--up-to-homeo"),
+            "n must be in 1..6 for the census up to homeomorphism, got 7",
+        ),
+        (("verify", "--n", "0"), "n must be in 1..5 for the labeled census, got 0"),
+        (("verify", "--n", "6"), "n must be in 1..5 for the labeled census, got 6"),
+    ],
+)
+def test_point_count_outside_the_census_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"finitetop: error: {message}\n")
+
+
+# bytes a mutation writes: JSON punctuation, digits, the letters of the JSON
+# literals, and two bytes that are not UTF-8
+_FUZZ_BYTES = b'[]{}",:.- 0123456789aeflnrstu\n\x80\xff'
+
+
+def _mutated(rng, data):
+    """data with one to three bytes replaced, deleted or inserted."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(out))
+        edit = rng.randrange(3)
+        if edit == 0:
+            out[i] = rng.choice(_FUZZ_BYTES)
+        elif edit == 1:
+            del out[i]
+        else:
+            out.insert(i, rng.choice(_FUZZ_BYTES))
+    return bytes(out)
+
+
+def test_mutated_inputs_exit_0_or_2(capsys, tmp_path):
+    # seeded byte mutations of a 3-point census file and of a space file;
+    # a bad input is an error of the input, never of the program
+    sink = io.StringIO()
+    census_mod.write_census(census_mod.census_records(3), sink)
+    commands = (
+        (
+            sink.getvalue().encode(),
+            ("verify", "--census", "{}", "--suite", "prop-p1,thm-fm1"),
+        ),
+        (
+            space_to_json(census_mod.labeled_census(4)[200]).encode(),
+            ("inspect", "--space", "{}", "--complete", "--facets", "alpha,profile,g-closed,nodec"),
+        ),
+    )
+    rng = random.Random(9)
+    path = tmp_path / "input"
+    codes = [Counter(), Counter()]
+    for case in range(600):
+        data, argv = commands[case % 2]
+        path.write_bytes(_mutated(rng, data))
+        code, _, err = run_cli(capsys, *(arg.format(path) for arg in argv))
+        assert code in (0, 2), (argv[0], err)
+        assert "internal error" not in err
+        codes[case % 2][code] += 1
+    # each command read some mutated input as valid
+    assert all(counts[0] for counts in codes), codes
 
 
 def test_internal_fault_exits_3(capsys, monkeypatch, tmp_path):
