@@ -18,10 +18,13 @@ Census files go through one text codec.  Each open set's JSON text is
 cached by mask, so a record line is formatted from its id, n, its opens'
 texts and its profile's text, encoded once per distinct profile up to
 MAX_LABELED_N points; the bytes are json.dumps of the record object.  A
-line read back in exactly that layout is decoded from its texts, and kept
-only if its space re-encodes to the line's opens text and that text hashes
-to the line's id; any other line goes through the JSON parser and the full
-validation.
+line read back in exactly that layout is decoded from its texts.  Its masks
+are all open in the space they span (the one whose minimal neighborhoods
+are their intersections), so they are all its opens iff they strictly
+ascend and number as many as its open sets: a count taken once per class
+up to MAX_LABELED_N points.  The line is kept only if that holds, its masks'
+texts join to its opens text and that text hashes to its id; any other
+line goes through the JSON parser and the full validation.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ class CensusRecord:
 
 def space_id(t: Topology) -> str:
     """Stable record id: point count plus a hash of space_to_json's text."""
-    return _id_of(t.n, _opens_text(t))
+    return _id_of(t.n, _opens_text(t.opens))
 
 
 def profile(t: Topology) -> PropertyProfile:
@@ -398,9 +401,9 @@ _RECORD_LINE = re.compile(
 )
 
 
-def _opens_text(t: Topology) -> str:
-    """The JSON text of the opens' point lists, as space_to_json writes them."""
-    return "[" + ", ".join(map(_MASK_TEXTS.__getitem__, t.opens)) + "]"
+def _opens_text(masks: Iterable[int]) -> str:
+    """The JSON text of the masks' point lists, as space_to_json writes opens."""
+    return "[" + ", ".join(map(_MASK_TEXTS.__getitem__, masks)) + "]"
 
 
 def _id_of(n: int, opens_text: str) -> str:
@@ -443,7 +446,7 @@ def write_census(records: Iterable[CensusRecord], sink: TextIO) -> int:
                 entry = profile_texts[id(prof)] = (prof, json.dumps(prof.to_obj()))
             text = entry[1]
         sink.write(
-            f'{{"id": {json.dumps(rec.id)}, "n": {n}, "opens": {_opens_text(rec.space)}, '
+            f'{{"id": {json.dumps(rec.id)}, "n": {n}, "opens": {_opens_text(rec.space.opens)}, '
             f'"profile": {text}}}\n'
         )
         count += 1
@@ -454,7 +457,8 @@ def read_census(source: TextIO) -> list[CensusRecord]:
     """Parse a census file; read(write(x)) == x byte for byte.
 
     A line in write_census's exact layout is decoded from its texts and kept
-    only if its space re-encodes to the line's opens text and that text
+    only if its masks strictly ascend, number as many as the open sets of
+    the space they span, give back the line's opens text, and that text
     hashes to the line's id; every other line goes through the JSON parser
     and the full validation, which names the fault.
     """
@@ -491,11 +495,17 @@ def read_census(source: TextIO) -> list[CensusRecord]:
 def _read_canonical(line: str, n: int) -> Optional[CensusRecord]:
     """The record of a line exactly as write_census writes it, else None.
 
-    Re-encoding is the check: a point written as true or 1.0, opens out of
-    order or repeated, or a family not closed under union and intersection
-    cannot give back the same opens text, and a wrong id cannot hash to
-    itself.  An accepted line is one _parse_record accepts, with an equal
-    record.
+    Counting is the check.  Every listed mask is an up-set of the table
+    _min_table builds from the list, since it holds the minimal neighborhood
+    of each of its points.  So the list is exactly the space's opens, in
+    order, iff it strictly ascends and has as many members as the table has
+    up-sets: a number cached per class up to MAX_LABELED_N points and
+    enumerated for a larger space.  A point written as true or 1.0 is not a
+    canonical entry, opens out of order or repeated do not strictly ascend,
+    a family not closed under union and intersection falls short of the
+    count, and a wrong id cannot hash to itself.  The masks' joined texts
+    must also give back the line's opens text.  An accepted line is one
+    _parse_record accepts, with an equal record.
     """
     match = _RECORD_LINE.fullmatch(line)
     if match is None or not 1 <= n <= MAX_POINTS:
@@ -510,10 +520,23 @@ def _read_canonical(line: str, n: int) -> Optional[CensusRecord]:
         return None
     if max(masks) >> n:  # a point outside the space
         return None
-    space = from_preorder(_min_table(n, masks))
-    if _opens_text(space) != opens or _id_of(n, opens) != rid:
+    if any(a >= b for a, b in zip(masks, masks[1:])):  # out of order or repeated
+        return None
+    table = _min_table(n, masks)
+    space = from_preorder(table)
+    if n <= MAX_LABELED_N:
+        count = _class_open_count(_class_index(n)[table])
+    else:
+        count = len(space.opens)
+    if len(masks) != count or _opens_text(masks) != opens or _id_of(n, opens) != rid:
         return None
     return CensusRecord(rid, space, prof)
+
+
+@lru_cache(maxsize=None)
+def _class_open_count(key: tuple[int, ...]) -> int:
+    # the number of open sets is a topological invariant: one count per class
+    return len(from_preorder(key).opens)
 
 
 def _parse_record(obj: dict, n: int) -> CensusRecord:

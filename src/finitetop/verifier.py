@@ -125,7 +125,7 @@ SEARCH_PREDICATES = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Report:
     suite: str
     spaces_checked: int
@@ -175,9 +175,10 @@ def run_suite(suite: str, spaces: Iterable[Topology]) -> Report:
             problems = _check_space(suite, t)[1] if violated else ()
         else:
             fired, problems = _check_space(suite, t)
-        if not fired:
-            vacuous += 1
-        violations.extend((space_id(t), d) for d in problems)
+        vacuous += not fired
+        if problems:
+            sid = space_id(t)
+            violations += [(sid, d) for d in problems]
     return Report(suite, len(pool), tuple(violations), vacuous)
 
 

@@ -1,9 +1,10 @@
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
 
-from finitetop import build_topology, check_property, discrete, operators, product
+from finitetop import build_topology, check_property, discrete, operators, product, spaces
 from finitetop.covers import PARACOMPACT, REGULAR_CLOSED_REFINABLE
 
 
@@ -32,6 +33,35 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(operators, "_build_tables", counting)
     return builds
+
+
+@pytest.fixture
+def upset_enumerations(monkeypatch):
+    """Counts, per table, the enumerations of its open sets."""
+    calls = Counter()
+    enumerate_upsets = spaces._upward_closed_sets
+
+    def counting(nbhd):
+        calls[nbhd] += 1
+        return enumerate_upsets(nbhd)
+
+    monkeypatch.setattr(spaces, "_upward_closed_sets", counting)
+    return calls
+
+
+# each point count beyond the exhaustive censuses, twice
+BEYOND_CENSUS_SIZES = tuple(range(6, 17)) * 2
+
+
+def random_generators(rng, n):
+    """Up to n + 2 seeded random subsets of n points."""
+    return [rng.getrandbits(n) for _ in range(rng.randint(0, n + 2))]
+
+
+def random_spaces(seed, sizes=BEYOND_CENSUS_SIZES):
+    """One seeded space per point count: the topology random subsets generate."""
+    rng = random.Random(seed)
+    return [build_topology(n, random_generators(rng, n)) for n in sizes]
 
 
 @st.composite

@@ -4,12 +4,12 @@ import hashlib
 import io
 import json
 import random
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations
 
 import pytest
 
-from conftest import SIXTEEN_POINT_PRODUCTS
+from conftest import SIXTEEN_POINT_PRODUCTS, random_generators, random_spaces
 from finitetop import (
     alpha_topology,
     build_topology,
@@ -26,6 +26,7 @@ from finitetop import (
 )
 from finitetop.census import (
     CENSUS_FORMAT,
+    CensusRecord,
     PropertyProfile,
     _parse_record,
     census_records,
@@ -35,6 +36,7 @@ from finitetop.census import (
     labeled_census,
     least_table,
 )
+from finitetop.spaces import iter_points, mask_of
 from oracles import (
     backtracked_preorders,
     count_topologies_direct,
@@ -157,7 +159,7 @@ def test_least_table_on_random_spaces_beyond_the_census():
     rng = random.Random(606)
     for _ in range(200):
         n = rng.randint(6, 10)
-        t = build_topology(n, [rng.getrandbits(n) for _ in range(rng.randint(0, n + 2))])
+        t = build_topology(n, random_generators(rng, n))
         rows = t.min_nbhd
         moved = relabelled(rows, rng.sample(range(n), n))
         key = least_table(rows)
@@ -336,6 +338,19 @@ def _not_union_closed(opens):
     return None
 
 
+def _open_swapped(opens):
+    # the least nonempty open traded for the least point list outside the
+    # family, in mask order again: the count, order and text stay canonical,
+    # so only the count check can reject a family that is not a topology
+    masks = [mask_of(u) for u in opens]
+    family = set(masks)
+    outside = next((m for m in range(1 << len(opens[-1])) if m not in family), None)
+    if outside is None or len(masks) < 3:
+        return None
+    masks[1] = outside
+    return [list(iter_points(m)) for m in sorted(masks)]
+
+
 def _upper_hex(obj):
     head, _, digest = obj["id"].partition("-")
     if digest.upper() == digest:
@@ -358,6 +373,7 @@ LINE_MUTATIONS = {
     "opens-unsorted": _opens_changed(_unsorted),
     "open-duplicated": _opens_changed(lambda opens: [opens[0], *opens]),
     "open-dropped": _opens_changed(_not_union_closed),
+    "open-swapped": _opens_changed(_open_swapped),
     "extra-space": lambda obj: json.dumps(obj).replace('"n": ', '"n":  ', 1),
     "keys-reordered": lambda obj: json.dumps({"n": obj["n"], **obj}),
     "extra-key": lambda obj: json.dumps({**obj, "x": 1}),
@@ -368,11 +384,13 @@ LINE_MUTATIONS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _differential_lines():
-    for n in (1, 2, 3, 4):
-        yield from _census_text(census_records(n)).splitlines()[1:]
-    lines = _census_text(census_records(5)).splitlines()[1:]
-    yield from random.Random(2024).sample(lines, 150)
+    # every labeled space on at most 5 points, whose open counts come from
+    # their classes, and every 6-point class, whose counts are enumerated
+    censuses = [census_records(n) for n in (1, 2, 3, 4, 5)]
+    censuses.append(census_records(6, up_to_homeo=True))
+    return tuple(line for records in censuses for line in _census_text(records).splitlines()[1:])
 
 
 @pytest.mark.parametrize("mutation", sorted(LINE_MUTATIONS))
@@ -404,6 +422,28 @@ def test_read_agrees_with_the_general_parser(mutation):
             expected.id, expected.space.min_nbhd, expected.profile
         ), mutated
     assert applied >= 100
+
+
+def test_read_back_enumerates_opens_once_per_class(upset_enumerations):
+    text = _census_text(census_records(5))  # builds the relabelling index
+    census._class_open_count.cache_clear()
+    upset_enumerations.clear()
+    assert len(read_census(io.StringIO(text))) == LABELED_COUNTS[5]
+    assert sum(upset_enumerations.values()) <= HOMEO_COUNTS[5]
+
+
+def test_one_record_round_trips_at_16_points():
+    # the read-back count of a space beyond the class index is enumerated
+    for t in random_spaces(1616, (16, 16, 16)):
+        text = _census_text([CensusRecord(space_id(t), t, profile(t))])
+        (rec,) = read_census(io.StringIO(text))
+        line = text.splitlines()[1]
+        expected = _parse_record(json.loads(line), 16)
+        assert (rec.id, rec.space.min_nbhd, rec.profile) == (
+            expected.id, t.min_nbhd, expected.profile
+        )
+        assert line == json.dumps(record_to_obj(rec))
+        assert _census_text([rec]) == text
 
 
 def test_round_trip_is_byte_identical():

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from conftest import SIXTEEN_POINT_PRODUCTS, topologies, topology_and_subset
+from conftest import SIXTEEN_POINT_PRODUCTS, random_spaces, topologies, topology_and_subset
 from finitetop import (
     CLASS_KINDS,
     HULL_KINDS,
@@ -248,6 +248,11 @@ def test_alpha_topology_matches_formula_scan(n):
 def test_alpha_topology_matches_formula_scan_at_16_points(name):
     t = SIXTEEN_POINT_PRODUCTS[name]()
     assert alpha_topology(t).opens == alpha_open_scan(t)
+
+
+def test_alpha_topology_matches_formula_scan_beyond_the_census():
+    for t in random_spaces(4554):
+        assert alpha_topology(t).opens == alpha_open_scan(t), t
 
 
 def test_sixteen_point_products_cover_both_verdicts():

@@ -1,11 +1,18 @@
 """Space construction, subspaces, products, preorder tables, the homeomorphism oracle, IO."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import SIXTEEN_POINT_PRODUCTS, topologies, topology_and_subset
+from conftest import (
+    SIXTEEN_POINT_PRODUCTS,
+    random_generators,
+    random_spaces,
+    topologies,
+    topology_and_subset,
+)
 from finitetop import (
     Topology,
     alpha_topology,
@@ -20,7 +27,15 @@ from finitetop import (
     subspace,
 )
 from finitetop.census import enumerate_preorders, enumerate_topologies, labeled_census
-from finitetop.spaces import full_set, iter_points, mask_of, set_text, space_from_obj, space_to_obj
+from finitetop.spaces import (
+    _upward_closed_sets,
+    full_set,
+    iter_points,
+    mask_of,
+    set_text,
+    space_from_obj,
+    space_to_obj,
+)
 from oracles import (
     find_homeomorphism,
     is_homeomorphic,
@@ -191,6 +206,23 @@ def test_product_matches_full_box_generation(t1, t2):
     assert product(t1, t2) == build_topology(t1.n * t2.n, boxes)
 
 
+def test_product_matches_generated_topology_beyond_the_census():
+    # the product topology is generated by the strips g × Y and X × h, for
+    # generators g of the first factor and h of the second
+    rng = random.Random(1661)
+    for _ in range(60):
+        n1 = rng.randint(2, 8)
+        n2 = rng.randint(max(2, -(-6 // n1)), 16 // n1)
+        g1, g2 = random_generators(rng, n1), random_generators(rng, n2)
+        strips = [
+            mask_of(x * n2 + y for x in iter_points(u) for y in iter_points(v))
+            for u, v in [(g, full_set(n2)) for g in g1] + [(full_set(n1), h) for h in g2]
+        ]
+        assert product(build_topology(n1, g1), build_topology(n2, g2)) == build_topology(
+            n1 * n2, strips
+        ), (n1, g1, n2, g2)
+
+
 def test_product_with_point_is_homeomorphic(one_open_point):
     one = indiscrete(1)
     assert is_homeomorphic(product(one_open_point, one), one_open_point)
@@ -266,6 +298,11 @@ def test_upset_doubling_matches_depth_first_oracle(n):
 def test_upset_doubling_matches_depth_first_oracle_at_16_points(name):
     t = SIXTEEN_POINT_PRODUCTS[name]()
     assert t.opens == upward_closed_sets_dfs(16, t.min_nbhd)
+
+
+def test_upset_doubling_matches_depth_first_oracle_beyond_the_census():
+    for t in random_spaces(2332):
+        assert _upward_closed_sets(t.min_nbhd) == upward_closed_sets_dfs(t.n, t.min_nbhd), t
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
@@ -374,6 +411,11 @@ def test_space_json_round_trip(one_open_point):
 @given(topologies())
 def test_space_json_round_trip_random(t):
     assert space_from_json(space_to_json(t)) == t
+
+
+def test_space_json_round_trip_beyond_the_census():
+    for t in random_spaces(3443):
+        assert space_from_json(space_to_json(t)) == t, t
 
 
 def test_parser_rejects_non_closed_family():

@@ -10,6 +10,7 @@ from finitetop import (
     alpha_topology,
     check_property,
     discrete,
+    indiscrete,
     maps,
     product,
     run_suite,
@@ -129,6 +130,29 @@ def test_spaces_beyond_the_class_range_are_checked_one_by_one(monkeypatch):
     monkeypatch.setattr(verifier, "class_key", None)
     report = run_suite("subpara-implication", [discrete(16)])
     assert report.passed and report.vacuous_count == 0
+
+
+def test_violations_beyond_the_class_range_keep_their_details(monkeypatch):
+    # a space above MAX_HOMEO_N is checked on its own; its details are listed
+    # under its id, in pool order
+    def seven_points(t):
+        fired = t.n == 7
+        return fired, [f"{t.n} points, {len(t.opens)} opens"] if fired else []
+
+    monkeypatch.setitem(verifier._PER_SPACE_SUITES, "seven-points", seven_points)
+    pool = [discrete(7), discrete(2), indiscrete(7)]
+    report = run_suite("seven-points", pool)
+    assert report == Report(
+        "seven-points",
+        3,
+        ((space_id(pool[0]), "7 points, 128 opens"), (space_id(pool[2]), "7 points, 2 opens")),
+        1,
+    )
+
+
+def test_reports_carry_no_instance_dict():
+    # a worker holds a report per space and suite
+    assert not hasattr(run_suite("lemma-2.1", labeled_census(2)), "__dict__")
 
 
 def test_lemma_21_over_three_point_census():
@@ -350,6 +374,17 @@ def test_non_nodec_search_minimality(one_open_point):
     counts = search_counts(witnesses, 3)
     assert counts[1] == 0 and counts[2] == 0
     assert any(w.spaces[0] == one_open_point for w in witnesses)
+
+
+def test_gc_mismatch_is_non_nodec():
+    # a computed fact with no proof yet: g-closed(T) and g-closed(T^α) differ
+    # iff T^α ≠ T, on every labeled space with n <= 5 and every 6-point
+    # class; the two predicates stay apart until it is proved
+    spaces = [t for n in (1, 2, 3, 4, 5) for t in labeled_census(n)]
+    spaces += map(from_preorder, homeo_tables(6))
+    for t in spaces:
+        mismatch = verifier._search_gc_mismatch(t) is not None
+        assert mismatch == (verifier._search_non_nodec(t) is not None), t
 
 
 def test_question_searches_report_neutrally():
