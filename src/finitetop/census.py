@@ -41,9 +41,9 @@ from .spaces import (
     MAX_POINTS,
     Topology,
     _down_sets,
+    _from_table,
     _is_int,
     _min_table,
-    from_preorder,
     full_set,
     iter_points,
     mask_of,
@@ -140,7 +140,7 @@ def profile(t: Topology) -> PropertyProfile:
 
 @lru_cache(maxsize=None)
 def _class_profile(key: tuple[int, ...]) -> PropertyProfile:
-    return _space_profile(from_preorder(key))
+    return _space_profile(_from_table(key))
 
 
 @lru_cache(maxsize=None)
@@ -181,9 +181,9 @@ def enumerate_topologies(n: int, up_to_homeo: bool = False) -> Iterator[Topology
     """
     if up_to_homeo:
         _check_point_count(n, MAX_HOMEO_N, "the census up to homeomorphism")
-        return (from_preorder(rows) for rows in homeo_tables(n))
+        return map(_from_table, homeo_tables(n))
     _check_point_count(n, MAX_LABELED_N, "the labeled census")
-    return (from_preorder(r) for r in enumerate_preorders(n))
+    return map(_from_table, enumerate_preorders(n))
 
 
 def _check_point_count(n: int, cap: int, census: str) -> None:
@@ -216,7 +216,7 @@ def _one_point_extensions(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # and whose subspace on 0..n-1 is rows
     n = len(rows)
     full, p = full_set(n), 1 << n
-    opens = from_preorder(rows).opens
+    opens = _from_table(rows).opens
     sizes = [row.bit_count() for row in rows]
     for closed in opens:
         d = full ^ closed
@@ -523,7 +523,7 @@ def _read_canonical(line: str, n: int) -> Optional[CensusRecord]:
     if any(a >= b for a, b in zip(masks, masks[1:])):  # out of order or repeated
         return None
     table = _min_table(n, masks)
-    space = from_preorder(table)
+    space = _from_table(table)
     if n <= MAX_LABELED_N:
         count = _class_open_count(_class_index(n)[table])
     else:
@@ -536,7 +536,7 @@ def _read_canonical(line: str, n: int) -> Optional[CensusRecord]:
 @lru_cache(maxsize=None)
 def _class_open_count(key: tuple[int, ...]) -> int:
     # the number of open sets is a topological invariant: one count per class
-    return len(from_preorder(key).opens)
+    return len(_from_table(key).opens)
 
 
 def _parse_record(obj: dict, n: int) -> CensusRecord:

@@ -11,9 +11,10 @@ per entry:
 
 for any point x of a, because closure and the open hull are finitely
 additive and the interior is dual to the closure; cl{x} is the space's
-recorded point closure.  Production only ever scans whole classes; the
-test oracles (tests/oracles.py) ask the same formulas about one mask
-through adapters whose ``[]`` calls the ``Topology`` methods instead.
+point closure, derived from its table on first use and kept.  Production
+only ever scans whole classes; the test oracles (tests/oracles.py) ask the
+same formulas about one mask through adapters whose ``[]`` calls the
+``Topology`` methods instead.
 
 A space's tables live in the innermost ``table_scope``.  A check opens one
 around its work on one space, so the scans and hull tables it asks of T

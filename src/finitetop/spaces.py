@@ -6,19 +6,24 @@ capped at 16 every subset fits in one machine word.  A space is its
 minimal-neighborhood table: ``min_nbhd[x]`` is the smallest open set around
 x, which is also the up-set of x in the specialization preorder
 (Alexandroff's correspondence).  Every operator reduces to a few bit
-operations against that table.  Each space also records its point
-closures: ``point_closures[x]`` is cl{x}, the down-set of x, filled in
-while the table is checked.  The open sets are the up-sets, enumerated
-from the table on demand by doubling over classes of equivalent points,
-in time proportional to their number.  A whole-class scan of at most 65536
-masks builds closure, interior and open-hull tables from the point
-closures and the table (see ``operators``).
+operations against that table.  Two things are derived from the table on
+first use and then kept: the point closures, ``point_closures[x]`` = cl{x},
+the down-set of x; and the open sets, the up-sets, enumerated by doubling
+over classes of equivalent points in time proportional to their number.  A
+whole-class scan of at most 65536 masks builds closure, interior and
+open-hull tables from the point closures and the table (see
+``operators``).
+
+A table from outside is checked (``from_preorder``, ``Topology(n, opens)``);
+one that the program builds as a preorder, such as the intersection table
+of a family or a relabelled census table, is taken as it is
+(``_from_table``).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 MAX_POINTS = 16
 
@@ -72,19 +77,18 @@ class Topology:
 
     ``min_nbhd[x]`` is the smallest open set containing point x; equality
     and hashing use this table alone.  ``point_closures[x]`` is the closure
-    of point x, the points whose minimal neighborhood holds x, recorded
-    when the space is built.  ``opens`` is the duplicate-free tuple
-    of open sets in canonical order (ascending bitmask value), enumerated
-    from the table on first use and cached.  Values can be shared freely
-    across workers.
+    of point x, the points whose minimal neighborhood holds x.  ``opens``
+    is the duplicate-free tuple of open sets in canonical order (ascending
+    bitmask value).  Both are derived from the table on first use and
+    cached.  Values can be shared freely across workers.
 
     ``Topology(n, opens)`` validates an open family read from outside;
     ``from_preorder`` builds a space from its table.
     """
 
-    __slots__ = ("n", "min_nbhd", "point_closures", "_opens", "_hash")
+    __slots__ = ("n", "min_nbhd", "_point_closures", "_opens", "_hash")
 
-    def __init__(self, n: int, opens: Iterable[int]):
+    def __new__(cls, n: int, opens: Iterable[int]) -> "Topology":
         if not 1 <= n <= MAX_POINTS:
             raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
         family = sorted(set(opens))
@@ -97,8 +101,17 @@ class Topology:
         regenerated = _upward_closed_sets(nbhd)
         if regenerated != tuple(family):
             raise ValueError("open family is not closed under union/intersection")
-        self.n, self.min_nbhd, self._opens, self._hash = n, nbhd, regenerated, hash(nbhd)
-        self.point_closures = tuple(_down_sets(nbhd))
+        return _from_table(nbhd, regenerated)
+
+    def __reduce__(self):
+        # __new__ takes an open family, so pickles and copies carry the table
+        return _from_table, (self.min_nbhd,)
+
+    @property
+    def point_closures(self) -> tuple[int, ...]:
+        if self._point_closures is None:
+            self._point_closures = tuple(_down_sets(self.min_nbhd))
+        return self._point_closures
 
     @property
     def opens(self) -> tuple[int, ...]:
@@ -177,11 +190,16 @@ def _upward_closed_sets(nbhd: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _down_sets(nbhd: tuple[int, ...]) -> list[int]:
-    # down[x] is the mask of points whose minimal neighborhood holds x
+    # down[x] is the mask of points whose minimal neighborhood holds x; the
+    # points of each row are taken inline, as a generator per row costs
+    # more than the loop body
     down = [0] * len(nbhd)
     for y, up in enumerate(nbhd):
-        for x in iter_points(up):
-            down[x] |= 1 << y
+        bit = 1 << y
+        while up:
+            low = up & -up
+            down[low.bit_length() - 1] |= bit
+            up ^= low
     return down
 
 
@@ -260,12 +278,18 @@ def from_preorder(rows: tuple[int, ...]) -> Topology:
     x <= y.  The opens are then exactly the upward-closed sets.  Raises
     ValueError unless the rows fit the point count and the relation is
     reflexive and transitive.
+
+    Tables from outside, products, subspaces and the alpha-refinement (whose
+    check guards a theorem) come through here.  The census and the class
+    verdicts pass the tables they build themselves, relabelled class tables
+    and intersection tables, to ``_from_table``, which skips the checks:
+    those tables are preorders by construction, and a test holds them
+    against this function.
     """
     rows = tuple(rows)
     n = len(rows)
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
-    closures = [0] * n
     for x, row in enumerate(rows):
         check_fits(row, n)
         if not row >> x & 1:
@@ -273,10 +297,19 @@ def from_preorder(rows: tuple[int, ...]) -> Topology:
         for y in iter_points(row):
             if rows[y] & ~row:
                 raise ValueError("relation is not transitive")
-            closures[y] |= 1 << x
+    return _from_table(rows)
+
+
+def _from_table(rows: tuple[int, ...], opens: Optional[tuple[int, ...]] = None) -> Topology:
+    """The space of a table that is a preorder by construction, unchecked.
+
+    The only code that sets a Topology's slots.  ``opens``, when given, must
+    be the table's up-sets in ascending order.
+    """
     t = object.__new__(Topology)
-    t.n, t.min_nbhd, t._opens, t._hash = n, rows, None, hash(rows)
-    t.point_closures = tuple(closures)
+    t.n, t.min_nbhd, t._point_closures, t._opens, t._hash = (
+        len(rows), rows, None, opens, hash(rows)
+    )
     return t
 
 

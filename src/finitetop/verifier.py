@@ -50,8 +50,8 @@ from typing import Iterable, Iterator, Optional
 from .spaces import (
     MAX_POINTS,
     Topology,
+    _from_table,
     family_text,
-    from_preorder,
     iter_points,
     product,
     set_text,
@@ -195,7 +195,7 @@ def _class_verdict(suite: str, key: tuple[int, ...]) -> tuple[bool, bool]:
     Both are topological invariants, so the class representative decides
     them for every labeled member.
     """
-    fired, problems = _check_space(suite, from_preorder(key))
+    fired, problems = _check_space(suite, _from_table(key))
     return fired, bool(problems)
 
 
@@ -405,7 +405,7 @@ def _suite_fm1(pool: tuple[Topology, ...]) -> Report:
     # domain classes whose maps onto equal sizes are enumerated too
     enumerated: set[tuple[int, ...]] = set()
     for key, d in members.items():
-        t = from_preorder(key)
+        t = _from_table(key)
         if check_property(t, "alpha-subparacompact"):
             if not check_property(t, "nodec"):
                 # the nodec lemma rules this out; enumerate, do not count
@@ -563,7 +563,7 @@ def _search_question1(t1: Topology, t2: Topology) -> Optional[Witness]:
 @lru_cache(maxsize=None)
 def _product_asp(key1: tuple[int, ...], key2: tuple[int, ...]) -> bool:
     # homeomorphic factors give homeomorphic products
-    product_space = product(from_preorder(key1), from_preorder(key2))
+    product_space = product(_from_table(key1), _from_table(key2))
     return check_property(product_space, "alpha-subparacompact")
 
 

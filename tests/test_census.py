@@ -421,6 +421,9 @@ def test_read_agrees_with_the_general_parser(mutation):
         assert (got.id, got.space.min_nbhd, got.profile) == (
             expected.id, expected.space.min_nbhd, expected.profile
         ), mutated
+        assert (got.space.opens, got.space.point_closures) == (
+            expected.space.opens, expected.space.point_closures
+        ), mutated
     assert applied >= 100
 
 

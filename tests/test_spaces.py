@@ -1,6 +1,8 @@
 """Space construction, subspaces, products, preorder tables, the homeomorphism oracle, IO."""
 
+import io
 import json
+import pickle
 import random
 
 import pytest
@@ -26,8 +28,21 @@ from finitetop import (
     space_to_json,
     subspace,
 )
-from finitetop.census import enumerate_preorders, enumerate_topologies, labeled_census
+from finitetop.census import (
+    CensusRecord,
+    _class_index,
+    enumerate_preorders,
+    enumerate_topologies,
+    homeo_tables,
+    labeled_census,
+    profile,
+    read_census,
+    space_id,
+    write_census,
+)
 from finitetop.spaces import (
+    _from_table,
+    _min_table,
     _upward_closed_sets,
     full_set,
     iter_points,
@@ -268,24 +283,78 @@ def _assert_point_closures_recorded(t):
     assert t.point_closures == tuple(t.closure(1 << x) for x in range(t.n)), t
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+# n -> the spaces whose constructors are checked: the labeled census up to
+# 4 points, and the 16-point products
+def _constructor_pool(n):
+    if n == 16:
+        return [build() for build in SIXTEEN_POINT_PRODUCTS.values()]
+    return labeled_census(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
 def test_point_closures_are_recorded_by_every_constructor(n):
-    full = full_set(n)
-    for t in labeled_census(n):  # from_preorder
+    pool = _constructor_pool(n)
+    for t in pool:  # _from_table, or product at 16 points
         for built in (
             t,
+            from_preorder(t.min_nbhd),
             Topology(n, t.opens),
             build_topology(n, t.opens),
             alpha_topology(t),
             space_from_obj(space_to_obj(t)),
             space_from_obj(space_to_obj(t), complete=True),
-            product(t, t),
         ):
             _assert_point_closures_recorded(built)
-        for a in range(1, full + 1):
+        if n <= 4:
+            _assert_point_closures_recorded(product(t, t))
+            carriers = range(1, full_set(n) + 1)
+        else:
+            carriers = (*t.min_nbhd, *t.point_closures)
+        for a in carriers:
             _assert_point_closures_recorded(subspace(t, a)[0])
-    for t in enumerate_topologies(n, up_to_homeo=True):  # homeo_tables
-        _assert_point_closures_recorded(t)
+    text = io.StringIO()
+    write_census((CensusRecord(space_id(t), t, profile(t)) for t in pool), text)
+    for rec in read_census(io.StringIO(text.getvalue())):
+        _assert_point_closures_recorded(rec.space)
+    if n <= 4:
+        for t in enumerate_topologies(n, up_to_homeo=True):  # homeo_tables
+            _assert_point_closures_recorded(t)
+
+
+def _assert_builds_as_checked(rows):
+    # the unchecked constructor's input is a preorder, and both give one space
+    checked, unchecked = from_preorder(rows), _from_table(rows)
+    assert checked == unchecked, rows
+    assert (checked.opens, checked.point_closures) == (
+        unchecked.opens, unchecked.point_closures
+    ), rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_relabelling_index_tables_are_preorders(n):
+    # the index's values are the class tables, checked below
+    for table in _class_index(n):
+        _assert_builds_as_checked(table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_class_tables_are_preorders(n):
+    for rows in homeo_tables(n):
+        _assert_builds_as_checked(rows)
+
+
+def test_intersection_tables_are_preorders():
+    # the table a census line's masks span, for seeded random families
+    rng = random.Random(2525)
+    for n in range(1, 17):
+        for _ in range(20):
+            _assert_builds_as_checked(_min_table(n, random_generators(rng, n)))
+
+
+def test_spaces_pickle_by_their_table():
+    for t in (*labeled_census(3), SIXTEEN_POINT_PRODUCTS["sparse-alpha"]()):
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t and copy.opens == t.opens and copy.point_closures == t.point_closures
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
