@@ -150,10 +150,12 @@ def _space_profile(t: Topology) -> PropertyProfile:
         so = set_class(t, "semi-open")
         sizes = {key: len(set_class(t, kind)) for key, kind in _SIZE_CLASS.items()}
         sizes["alpha"] = len(ta.opens)
+        properties = {tag: check_property(t, tag) for tag in PROPERTY_TAGS}
         return PropertyProfile(
-            properties={tag: check_property(t, tag) for tag in PROPERTY_TAGS},
+            properties=properties,
             sizes=sizes,
-            gc_mismatch=set_class(t, "g-closed") != set_class(ta, "g-closed"),
+            # Corollary 3 (README): T and T^α share their g-closed sets iff T is nodec
+            gc_mismatch=not properties["nodec"],
             so_eq_alpha=so == ta.opens,
         )
 
@@ -298,22 +300,41 @@ def _space_key(t: Topology) -> tuple[int, ...]:
 def automorphism_count(rows: tuple[int, ...]) -> int:
     """|Aut| of the space with this table: the bijections that fix it.
 
-    A bijection sigma moves the row of x to position sigma[x] and each of
-    its bits y to bit sigma[y], so it fixes the table iff it carries row x
-    onto row sigma[x] for every x.  All n! bijections are tried; the class
-    of the table has n!/|Aut| labeled members.
+    A bijection sigma fixes the table iff x <= z exactly when
+    sigma[x] <= sigma[z], for every pair of points.  Points are placed in
+    order, depth first.  Point x may go to an unused y with the same
+    (up-set size, down-set size), and only if the order relations with
+    every point already placed hold in both directions.  The class of the
+    table has n!/|Aut| labeled members.
     """
-    count = 0
-    for sigma in permutations(range(len(rows))):
-        for x, row in enumerate(rows):
-            moved = 0
-            for y in iter_points(row):
-                moved |= 1 << sigma[y]
-            if moved != rows[sigma[x]]:
-                break
-        else:
-            count += 1
-    return count
+    n = len(rows)
+    down = _down_sets(rows)
+    signature = [(rows[x].bit_count(), down[x].bit_count()) for x in range(n)]
+    sigma = [0] * n
+
+    def extend(x: int, used: int) -> int:
+        if x == n:
+            return 1
+        # the images of x's placed up-set and down-set
+        up = dn = 0
+        for z in range(x):
+            if rows[x] >> z & 1:
+                up |= 1 << sigma[z]
+            if down[x] >> z & 1:
+                dn |= 1 << sigma[z]
+        count = 0
+        for y in range(n):
+            if (
+                not used >> y & 1
+                and signature[y] == signature[x]
+                and rows[y] & used == up
+                and down[y] & used == dn
+            ):
+                sigma[x] = y
+                count += extend(x + 1, used | 1 << y)
+        return count
+
+    return extend(0, 0)
 
 
 @lru_cache(maxsize=None)

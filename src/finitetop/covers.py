@@ -1,13 +1,15 @@
 """Covering and separation properties of finite spaces.
 
-Two finite-space reductions decide the three refinement properties: the
-minimal neighbourhoods of T (or of T^α) form an open (alpha-open) cover
-that refines every other, and every finite family is sigma-discrete,
-locally finite and sigma-closure-preserving.  So a closed (open)
-refinement exists iff the closed (open) sets that fit inside some
-neighbourhood cover the space, and ``check_property`` scans one table.
-The general cover and constraint reduction, and the exhaustive search
-that judges it and the constants below, live in tests/oracles.py.
+Two finite-space reductions decide subparacompactness: the minimal
+neighbourhoods of T form an open cover that refines every other, and every
+finite family is sigma-discrete, locally finite and sigma-closure-preserving.
+So a closed refinement exists iff the closed sets that fit inside some
+minimal neighbourhood cover the space, and ``check_property`` scans T's
+table.  The two alpha-open properties scan nothing: README's nodec lemma
+and its corollaries make T alpha-subparacompact iff it is nodec and
+subparacompact, and alpha-paracompact iff it is nodec.  The general cover
+and constraint reduction, and the exhaustive search that judges it and the
+constants below, live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -73,11 +75,11 @@ def property_reason(prop: str) -> Optional[str]:
     return FINITE_SPACE_REASONS.get(prop)
 
 
-def _table_refined_by(t: Topology, table: tuple[int, ...], kind: str) -> bool:
-    """Do the members of t's kind class inside some row of table cover t?"""
-    rows = sorted(set(table))
+def _table_refined_by(t: Topology) -> bool:
+    """Do the closed sets inside some minimal neighbourhood cover t?"""
+    rows = sorted(set(t.min_nbhd))
     reach = 0
-    for c in set_class(t, kind):
+    for c in set_class(t, "closed"):
         if any(c & ~u == 0 for u in rows):
             reach |= c
     return reach == full_set(t.n)
@@ -90,22 +92,22 @@ def check_property(t: Topology, prop: str) -> bool:
     Finite-subcover and countable-subcover properties are identically true
     on finite spaces (see FINITE_SPACE_REASONS); they are still exposed so
     the shared-property equivalences stay executable as stated.  Every open
-    (alpha-open) cover is refined by the minimal neighbourhoods of T (T^α),
-    so subparacompactness, alpha-subparacompactness and alpha-paracompactness
-    each scan one of those tables for the closed or open sets inside a row.
+    cover is refined by the minimal neighbourhoods of T, so
+    subparacompactness scans that table for the closed sets inside a row.
+    By README's nodec results, alpha-subparacompactness is nodec and
+    subparacompactness, and alpha-paracompactness is nodec; nodec is asked
+    first, so a space that is not nodec never scans.
     """
     if prop not in PROPERTY_TAGS:
         raise ValueError(f"unknown property {prop!r}")
-    if prop == "alpha-compact":
-        return check_property(alpha_topology(t), "compact")
     if prop in FINITE_SPACE_REASONS:
         return True
     if prop == "subparacompact":
-        return _table_refined_by(t, t.min_nbhd, "closed")
+        return _table_refined_by(t)
     if prop == "alpha-subparacompact":
-        return _table_refined_by(t, alpha_topology(t).min_nbhd, "closed")
+        return check_property(t, "nodec") and check_property(t, "subparacompact")
     if prop == "alpha-paracompact":
-        return _table_refined_by(t, alpha_topology(t).min_nbhd, "open")
+        return check_property(t, "nodec")
     if prop == "extremally-disconnected":
         # closure is finitely additive, so the closures of the minimal
         # neighborhoods decide it for every open set

@@ -498,13 +498,14 @@ def search_counts(witnesses: list[Witness], max_n: int) -> dict[int, int]:
 
 
 def _search_gc_mismatch(t: Topology) -> Optional[Witness]:
+    # Corollary 3 (README): T and T^α differ in their g-closed sets iff T
+    # is not nodec
+    if check_property(t, "nodec"):
+        return None
     ta = alpha_topology(t)
     base = frozenset(set_class(t, "g-closed"))
     refined = frozenset(set_class(ta, "g-closed"))
-    diff = sorted(base ^ refined)
-    if not diff:
-        return None
-    a = diff[0]
+    a = min(base ^ refined)
     where = "base space only" if a in base else "alpha-refinement only"
     return Witness(
         "gc-mismatch",

@@ -112,7 +112,9 @@ MODE_PAIRS = {
     ("open", "open+locally-finite"): lambda t: PARACOMPACT,
 }
 
-# the pairs whose production verdict scans a minimal-neighbourhood table
+# the pairs whose production verdict is a covering property; only the first
+# still scans a minimal-neighbourhood table, and the alpha-open two are
+# decided through nodec (README's nodec lemma and its corollaries)
 SCANNED_PAIRS = [
     ("open", "closed+sigma-discrete"),
     ("alpha-open", "closed+sigma-discrete"),

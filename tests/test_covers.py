@@ -12,9 +12,9 @@ from finitetop import (
     property_reason,
     set_class,
 )
-from finitetop.census import labeled_census
+from finitetop.census import homeo_tables, labeled_census
 from finitetop.covers import PROPERTY_TAGS, SIGMA_CLOSURE_PRESERVING, SIGMA_DISCRETE
-from finitetop.spaces import full_set
+from finitetop.spaces import from_preorder, full_set
 from oracles import (
     CONSTRAINT_PREDICATES,
     CONSTRAINTS,
@@ -199,10 +199,16 @@ def test_simplified_agrees_with_exhaustive_at_4_points(cover_kind, constraint):
         assert production(t) == simplified == exhaustive, t
 
 
-@pytest.mark.parametrize("pool", ["labeled-5", *sorted(SIXTEEN_POINT_PRODUCTS)])
+@pytest.mark.parametrize(
+    "pool", ["labeled-5", "classes-6", "classes-7", *sorted(SIXTEEN_POINT_PRODUCTS)]
+)
 def test_scanned_properties_match_reduction_beyond_exhaustive_reach(pool):
+    # with the tests above (n <= 4), production meets the reduction on every
+    # space of the nodec lemma's test
     if pool == "labeled-5":
         spaces = labeled_census(5)
+    elif pool.startswith("classes-"):
+        spaces = map(from_preorder, homeo_tables(int(pool[-1])))
     else:
         spaces = (SIXTEEN_POINT_PRODUCTS[pool](),)
     for t in spaces:

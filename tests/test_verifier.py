@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from conftest import random_spaces
 from finitetop import (
     alpha_topology,
     check_property,
@@ -21,15 +22,17 @@ from finitetop import (
 )
 from finitetop.census import automorphism_count, class_key, homeo_tables, labeled_census
 from finitetop.covers import QUESTION2_EQUIVALENCE
-from finitetop.spaces import from_preorder, iter_points, mask_of, set_text
+from finitetop.spaces import from_preorder, full_set, iter_points, mask_of, set_text
 from oracles import (
     SetFamily,
     class_scan_per_mask,
+    every_cover_has_refinement,
     every_cover_has_refinement_exhaustive,
     fm1_report_by_enumeration,
     has_refinement_exhaustive,
     homeo_census,
     is_homeomorphic,
+    relabelled,
 )
 from finitetop.verifier import (
     SEARCH_PREDICATES,
@@ -216,9 +219,13 @@ def _lemma_spaces():
 def test_alpha_subparacompact_spaces_are_nodec():
     # the nodec lemma (README): an alpha-subparacompact T, and a T whose T^α
     # is subparacompact, has T^α = T.  So the law's maps out of such a space
-    # are homeomorphisms, and question 2 has no finite witness
+    # are homeomorphisms, and question 2 has no finite witness.  Production
+    # decides alpha-subparacompactness through nodec, so the reduction
+    # oracle's verdict is asserted too
     for t in _lemma_spaces():
         ta = alpha_topology(t)
+        if every_cover_has_refinement(t, "alpha-open", "closed+sigma-discrete"):
+            assert ta == t, t
         if check_property(t, "alpha-subparacompact"):
             assert ta == t, t
         if check_property(ta, "subparacompact"):
@@ -290,12 +297,19 @@ def _automorphisms_brute_force(rows):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
 def test_automorphism_counts(n):
     classes = homeo_tables(n)
-    if n <= 5:  # n! relabellings of every open set per class
+    if n <= 5:  # n! relabellings of every open set, per class and shuffled copy
+        rng = random.Random(n)
         for rows in classes:
-            assert automorphism_count(rows) == _automorphisms_brute_force(rows), rows
+            for table in (rows, relabelled(rows, rng.sample(range(n), n))):
+                assert automorphism_count(table) == _automorphisms_brute_force(table), table
     # the orbits of the classes are the labeled census (A000798)
     orbits = sum(factorial(n) // automorphism_count(rows) for rows in classes)
     assert orbits == (1, 4, 29, 355, 6942, 209527, 9535241)[n - 1]
+
+
+def test_automorphism_counts_on_random_spaces_beyond_the_census():
+    for t in random_spaces(26, sizes=(6, 7) * 4):
+        assert automorphism_count(t.min_nbhd) == _automorphisms_brute_force(t.min_nbhd), t
 
 
 @pytest.mark.parametrize(
@@ -377,15 +391,29 @@ def test_non_nodec_search_minimality(one_open_point):
     assert any(w.spaces[0] == one_open_point for w in witnesses)
 
 
+def _nowhere_dense_points(t):
+    # D = {p : int cl{p} = ∅}
+    return [p for p in range(t.n) if t.interior(t.closure(1 << p)) == 0]
+
+
 def test_gc_mismatch_is_non_nodec():
-    # a computed fact with no proof yet: g-closed(T) and g-closed(T^α) differ
-    # iff T^α ≠ T, on every labeled space with n <= 5 and every 6-point
-    # class; the two predicates stay apart until it is proved
-    spaces = [t for n in (1, 2, 3, 4, 5) for t in labeled_census(n)]
-    spaces += map(from_preorder, homeo_tables(6))
-    for t in spaces:
-        mismatch = verifier._search_gc_mismatch(t) is not None
-        assert mismatch == (verifier._search_non_nodec(t) is not None), t
+    # Corollary 3 (README): g-closed(T) = g-closed(T^α) iff T is nodec, and
+    # X − {p} separates the two families for any non-closed p in D.  The
+    # search's witness is the least set in exactly one family
+    for t in _lemma_spaces():
+        ta = alpha_topology(t)
+        base = class_scan_per_mask(t, "g-closed")
+        refined = class_scan_per_mask(ta, "g-closed")
+        assert (base != refined) == (ta != t), t
+        found = verifier._search_gc_mismatch(t)
+        if base == refined:
+            assert found is None, t
+        else:
+            assert found.subsets == (min(set(base) ^ set(refined)),), t
+        for p in _nowhere_dense_points(t):
+            if t.closure(1 << p) != 1 << p:
+                rest = full_set(t.n) & ~(1 << p)
+                assert rest in base and rest not in refined, (t, p)
 
 
 def test_question_searches_report_neutrally():
