@@ -7,9 +7,10 @@ relabelled table, which is also the first labeled space of its class.  The
 labeled census is the relabelling index, built on first use by moving every
 class table through all n! bijections: its tables in ascending order are
 the labeled tables, and each keeps its class key.  Up to MAX_LABELED_N
-points class_key is a lookup in that index, and each class is profiled
-once.  The test suite's oracles (tests/oracles.py) are the slower
-independent routes: backtracking over up-set rows and filtering every
+points class_key is a lookup in that index, above that least_table; either
+way a space's key is computed once and kept on the space, and each class
+is profiled once.  The test suite's oracles (tests/oracles.py) are the
+slower independent routes: backtracking over up-set rows and filtering every
 family of subsets for closure under union and intersection for the labeled
 census, and the labeled sweep deduplicated by a cell-layout form for the
 classes.
@@ -22,9 +23,10 @@ line read back in exactly that layout is decoded from its texts.  Its masks
 are all open in the space they span (the one whose minimal neighborhoods
 are their intersections), so they are all its opens iff they strictly
 ascend and number as many as its open sets: a count taken once per class
-up to MAX_LABELED_N points.  The line is kept only if that holds, its masks'
-texts join to its opens text and that text hashes to its id; any other
-line goes through the JSON parser and the full validation.
+up to MAX_LABELED_N points.  The line is kept only if that holds, its opens
+text is bracketed as one list of lists (so its masks' texts join to it) and
+that text hashes to its id; any other line goes through the JSON parser and
+the full validation.
 """
 
 from __future__ import annotations
@@ -281,19 +283,17 @@ def least_table(rows: tuple[int, ...]) -> tuple[int, ...]:
 def class_key(t: Topology) -> tuple[int, ...]:
     """The least table of t's homeomorphism class.
 
-    Up to MAX_LABELED_N points it is a lookup in the relabelling index.  A
-    larger space is keyed by least_table once per space: a sweep that
-    decides each class once asks for the key of the same space again in
-    every suite it runs.
+    Up to MAX_LABELED_N points it is a lookup in the relabelling index, and
+    above that least_table.  Either way it is computed on the first call and
+    kept on the space itself: a sweep that decides each class once asks for
+    the key of the same space again in every suite it runs.
     """
-    if t.n <= MAX_LABELED_N:
-        return _class_index(t.n)[t.min_nbhd]
-    return _space_key(t)
-
-
-@lru_cache(maxsize=None)
-def _space_key(t: Topology) -> tuple[int, ...]:
-    return least_table(t.min_nbhd)
+    key = t._class_key
+    if key is None:
+        key = t._class_key = (
+            _class_index(t.n)[t.min_nbhd] if t.n <= MAX_LABELED_N else least_table(t.min_nbhd)
+        )
+    return key
 
 
 @lru_cache(maxsize=None)
@@ -479,9 +479,10 @@ def read_census(source: TextIO) -> list[CensusRecord]:
 
     A line in write_census's exact layout is decoded from its texts and kept
     only if its masks strictly ascend, number as many as the open sets of
-    the space they span, give back the line's opens text, and that text
-    hashes to the line's id; every other line goes through the JSON parser
-    and the full validation, which names the fault.
+    the space they span, give back the line's opens text (see
+    _read_canonical), and that text hashes to the line's id; every other
+    line goes through the JSON parser and the full validation, which names
+    the fault.
     """
     records: list[CensusRecord] = []
     n = None
@@ -524,32 +525,34 @@ def _read_canonical(line: str, n: int) -> Optional[CensusRecord]:
     enumerated for a larger space.  A point written as true or 1.0 is not a
     canonical entry, opens out of order or repeated do not strictly ascend,
     a family not closed under union and intersection falls short of the
-    count, and a wrong id cannot hash to itself.  The masks' joined texts
-    must also give back the line's opens text.  An accepted line is one
-    _parse_record accepts, with an equal record.
+    count, and a wrong id cannot hash to itself.  The opens text must open
+    with "[[" and close with "]]": every entry between is the canonical
+    text of its mask, so with canonical entries those two brackets hold iff
+    the masks' joined texts give back the opens text, and a text such as
+    "[ ], [0 ]" is refused.  An accepted line is one _parse_record accepts,
+    with an equal record.  The space is keyed through class_key, so the
+    suites that run on it next find its key on it.
     """
     match = _RECORD_LINE.fullmatch(line)
     if match is None or not 1 <= n <= MAX_POINTS:
         return None
     rid, count, opens, profile_text = match.groups()
-    if count != str(n):
+    if count != str(n) or opens[:2] != "[[" or opens[-2:] != "]]":
         return None
     try:
         masks = [_ENTRY_MASKS[entry] for entry in opens[2:-2].split("], [")]
         prof = _profile_of(profile_text)
     except ValueError:
         return None
-    if max(masks) >> n:  # a point outside the space
+    # strictly ascending, and the last mask holds no point outside the space
+    if masks != sorted(set(masks)) or masks[-1] >> n:
         return None
-    if any(a >= b for a, b in zip(masks, masks[1:])):  # out of order or repeated
-        return None
-    table = _min_table(n, masks)
-    space = _from_table(table)
+    space = _from_table(_min_table(n, masks))
     if n <= MAX_LABELED_N:
-        count = _class_open_count(_class_index(n)[table])
+        count = _class_open_count(class_key(space))
     else:
         count = len(space.opens)
-    if len(masks) != count or _opens_text(masks) != opens or _id_of(n, opens) != rid:
+    if len(masks) != count or _id_of(n, opens) != rid:
         return None
     return CensusRecord(rid, space, prof)
 

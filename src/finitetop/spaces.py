@@ -83,10 +83,12 @@ class Topology:
     cached.  Values can be shared freely across workers.
 
     ``Topology(n, opens)`` validates an open family read from outside;
-    ``from_preorder`` builds a space from its table.
+    ``from_preorder`` builds a space from its table.  ``_class_key`` holds
+    the least table of the space's homeomorphism class once
+    ``census.class_key`` has computed it.
     """
 
-    __slots__ = ("n", "min_nbhd", "_point_closures", "_opens", "_hash")
+    __slots__ = ("n", "min_nbhd", "_point_closures", "_opens", "_hash", "_class_key")
 
     def __new__(cls, n: int, opens: Iterable[int]) -> "Topology":
         if not 1 <= n <= MAX_POINTS:
@@ -303,12 +305,12 @@ def from_preorder(rows: tuple[int, ...]) -> Topology:
 def _from_table(rows: tuple[int, ...], opens: Optional[tuple[int, ...]] = None) -> Topology:
     """The space of a table that is a preorder by construction, unchecked.
 
-    The only code that sets a Topology's slots.  ``opens``, when given, must
-    be the table's up-sets in ascending order.
+    The only code that creates a Topology.  ``opens``, when given, must be
+    the table's up-sets in ascending order.
     """
     t = object.__new__(Topology)
-    t.n, t.min_nbhd, t._point_closures, t._opens, t._hash = (
-        len(rows), rows, None, opens, hash(rows)
+    t.n, t.min_nbhd, t._point_closures, t._opens, t._hash, t._class_key = (
+        len(rows), rows, None, opens, hash(rows), None
     )
     return t
 

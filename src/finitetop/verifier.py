@@ -18,12 +18,13 @@ Whether a suite fired on a space, and whether it found a violation, are
 topological invariants, so ``run_suite`` decides them once per
 homeomorphism class.  A space of at most ``MAX_HOMEO_N`` points is keyed
 by its least relabelled table (``census.class_key``, a lookup in the
-relabelling index up to ``MAX_LABELED_N`` points), and the checker runs on
-that table; only the members of a violating class are checked again on
-their own labels, so the details name their own points and keep the pool
-order.  Larger spaces, such as 16-point products, are checked one by one,
-because their key can take longer than the check.  The question 1 search
-likewise decides each product once per pair of factor classes, and
+relabelling index up to ``MAX_LABELED_N`` points, computed once and kept on
+the space for every later suite), and the checker runs on that table;
+only the members of a violating class are checked again on their own
+labels, so the details name their own points and keep the pool order.
+Larger spaces, such as 16-point products, are checked one by one, because
+their key can take longer than the check.  The question 1 search likewise
+decides each product once per pair of factor classes, and
 ``census.profile`` profiles each class once.
 
 The image law (thm-fm1) is counted, not enumerated.  Between spaces of

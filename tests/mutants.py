@@ -113,9 +113,30 @@ MUTANTS = (
     Mutant(
         "read-back-without-the-count",
         "finitetop/census.py",
-        "if len(masks) != count or _opens_text(masks)",
-        "if _opens_text(masks)",
+        "if len(masks) != count or _id_of(n, opens) != rid:",
+        "if _id_of(n, opens) != rid:",
         ("tests/test_census.py::test_read_agrees_with_the_general_parser[open-dropped]",),
+    ),
+    Mutant(
+        "read-back-without-the-brackets",
+        "finitetop/census.py",
+        'if count != str(n) or opens[:2] != "[[" or opens[-2:] != "]]":',
+        "if count != str(n):",
+        ("tests/test_cli.py::test_verify_census_unbracketed_opens_exits_2",),
+    ),
+    Mutant(
+        "class-key-first-call-returns-the-table",
+        "finitetop/census.py",
+        "        key = t._class_key = (",
+        "        key = t.min_nbhd\n        t._class_key = (",
+        ("tests/test_census.py::test_class_key_is_the_least_table",),
+    ),
+    Mutant(
+        "module-exit-status-dropped",
+        "finitetop/__main__.py",
+        "sys.exit(main())",
+        "main()",
+        ("tests/test_cli.py::test_inspect_malformed_space_exits_2[bool-point]",),
     ),
 )
 

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import pickle
 import random
 from functools import lru_cache, partial
 from itertools import permutations
@@ -11,17 +12,20 @@ import pytest
 
 from conftest import SIXTEEN_POINT_PRODUCTS, random_generators, random_spaces
 from finitetop import (
+    Topology,
     alpha_topology,
     build_topology,
     census,
     discrete,
     from_preorder,
     indiscrete,
+    product,
     profile,
     read_census,
     set_class,
     space_id,
     space_to_json,
+    subspace,
     write_census,
 )
 from finitetop.census import (
@@ -36,7 +40,7 @@ from finitetop.census import (
     labeled_census,
     least_table,
 )
-from finitetop.spaces import iter_points, mask_of
+from finitetop.spaces import iter_points, mask_of, space_from_obj
 from oracles import (
     backtracked_preorders,
     count_topologies_direct,
@@ -167,6 +171,55 @@ def test_least_table_on_random_spaces_beyond_the_census():
         if n <= 6:
             assert key == least_relabelling(rows), rows
         assert census.class_key(from_preorder(moved)) == census.class_key(t), (rows, moved)
+
+
+def _census_cache_sizes():
+    return {
+        name: f.cache_info().currsize
+        for name, f in vars(census).items()
+        if hasattr(f, "cache_info")
+    }
+
+
+def test_class_key_is_the_least_table():
+    # a space from every constructor, each keyed on the first call and again
+    # from its slot; the index and read_census's caches fill before keying
+    rng = random.Random(27)
+    three = from_preorder((0b111, 0b010, 0b110))
+    chain = build_topology(3, [0b100, 0b110])
+    text = io.StringIO()
+    write_census(census_records(4), text)
+    text.seek(0)
+    keyed = Topology(4, [0, 0b1000, 0b1100, 0b1111])
+    census.class_key(keyed)
+    # the key lives on the space, not in its pickle
+    assert pickle.dumps(keyed) == pickle.dumps(from_preorder(keyed.min_nbhd))
+    spaces = [
+        *(
+            from_preorder(relabelled(t.min_nbhd, rng.sample(range(4), 4)))
+            for t in labeled_census(4)
+        ),
+        Topology(3, three.opens),
+        space_from_obj(json.loads(space_to_json(chain))),
+        *(rec.space for rec in read_census(text)),
+        product(three, chain),
+        product(chain, three),
+        subspace(product(chain, chain), 0b101110110)[0],
+        alpha_topology(build_topology(4, [0b0010])),
+        alpha_topology(build_topology(6, [0b000100, 0b001100])),
+        pickle.loads(pickle.dumps(three)),
+        pickle.loads(pickle.dumps(keyed)),
+        *(t for n in range(1, 7) for t in enumerate_topologies(n, up_to_homeo=True)),
+        *random_spaces(27),
+    ]
+    for n in range(1, census.MAX_LABELED_N + 1):
+        census._class_index(n)
+    caches = _census_cache_sizes()
+    for t in spaces:
+        key = least_table(t.min_nbhd)
+        assert census.class_key(t) == key, t
+        assert census.class_key(t) == key, t
+    assert _census_cache_sizes() == caches
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import finitetop
 from conftest import SIXTEEN_POINT_PRODUCTS
 from finitetop import CLASS_KINDS, census as census_mod, indiscrete, space_to_json, verifier
 from finitetop.census import CENSUS_FORMAT, CensusRecord, profile, space_id
@@ -105,8 +106,8 @@ def run_cli(capsys, *argv):
 
 
 def run_module(cwd, *argv):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    # the child imports the package these tests imported, wherever it lies
+    env = dict(os.environ, PYTHONPATH=str(Path(finitetop.__file__).resolve().parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "finitetop", *argv],
         capture_output=True,
@@ -471,6 +472,23 @@ def test_verify_census_huge_integer_names_its_line(capsys, tmp_path, where):
     code, out, err = run_cli(capsys, "verify", "--census", str(path), "--suite", "prop-p1")
     assert (code, out) == (2, "")
     assert err.startswith(f"finitetop: error: line {line}:")
+
+
+def test_verify_census_unbracketed_opens_exits_2(capsys, tmp_path):
+    # in write_census's layout, with canonical entries that give the masks
+    # of the 1-point space and an id hashed over this very text, but not
+    # JSON: the opens text is two lists, not one list of lists
+    opens = "[ ], [0 ]"
+    t = indiscrete(1)
+    record = {k: json.dumps(v) for k, v in record_to_obj(CensusRecord("", t, profile(t))).items()}
+    record.update(id=json.dumps(census_mod._id_of(1, opens)), opens=opens)
+    line = object_text(record)
+    assert census_mod._RECORD_LINE.fullmatch(line)
+    path = tmp_path / "census.txt"
+    path.write_text(json.dumps({"format": CENSUS_FORMAT, "n": 1}) + "\n" + line + "\n")
+    code, out, err = run_cli(capsys, "verify", "--census", str(path), "--suite", "prop-p1")
+    assert (code, out) == (2, "")
+    assert err.startswith("finitetop: error: line 2: malformed record")
 
 
 @pytest.mark.parametrize(
